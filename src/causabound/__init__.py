@@ -14,18 +14,11 @@ from .audit import (
     Relation,
     applicable_modes,
     classify_relation,
+    compute_interval,
     run_audit,
     scenario_digest,
 )
-from .bounds import (
-    Method,
-    PcInterval,
-    pc_bounds,
-    pc_bounds_basic,
-    pc_bounds_covariate,
-    pc_bounds_mediator,
-    pc_bounds_mediator_covariate,
-)
+from .bounds import Method, PcInterval, pc_bounds
 from .checks import SweepReport, equivalence_sweep, render_sweep_report
 from .contingency import (
     ContingencyTable,
@@ -90,6 +83,7 @@ __all__ = [
     "applicable_modes",
     "chain_response",
     "classify_relation",
+    "compute_interval",
     "demo_document",
     "derive_observables",
     "digest_bytes",
@@ -103,10 +97,6 @@ __all__ = [
     "load_scenario",
     "oracle_bounds",
     "pc_bounds",
-    "pc_bounds_basic",
-    "pc_bounds_covariate",
-    "pc_bounds_mediator",
-    "pc_bounds_mediator_covariate",
     "random_scenario",
     "read_counts_csv",
     "reduce_scenario",

@@ -101,15 +101,22 @@ def scenario_digest(scenario: Scenario) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def compute_interval(scenario: Scenario, mode: AnalysisMode, method: Method) -> PcInterval:
+    """The PC interval of `scenario` analysed under `mode`, by `method`.
+
+    The closed form reads the mode's observables; the oracle searches the
+    boxes of the reduced scenario.
+    """
+    if method is Method.CLOSED_FORM:
+        return pc_bounds(derive_observables(scenario, mode))
+    return oracle_bounds(reduce_scenario(scenario, mode), mode).interval
+
+
 def _compute_entry(scenario: Scenario, mode: AnalysisMode, method: Method) -> AuditEntry:
     try:
-        if method is Method.CLOSED_FORM:
-            interval = pc_bounds(derive_observables(scenario, mode))
-        else:
-            interval = oracle_bounds(reduce_scenario(scenario, mode), mode).interval
+        return AuditEntry(mode, method, compute_interval(scenario, mode, method))
     except UndefinedConditionalError as exc:
         return AuditEntry(mode, method, None, str(exc))
-    return AuditEntry(mode, method, interval)
 
 
 def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_FORM,)) -> AuditReport:

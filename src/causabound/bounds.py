@@ -6,34 +6,36 @@ For an exposed responder, the probability of causation is
 
 the chance the response would have been absent without the exposure.  The
 joint of (R(0), R(1)) is not identified, so PC is bounded, not estimated.
-Writing r_e = P(R=1|E=e) and RR = r1/r0, the families are:
+Every structure is read as K strata s with weights w_s = P(S=s|E=1) and
+rows r_es = P(R=1|E=e,S=s); a structure without a covariate is the single
+stratum K = 1, w = 1.  With
 
-Basic (exposure and response only):
+    r1    = sum_s w_s r_1s                        = P(R=1|E=1),
+    Delta = sum_s w_s max{0, r_1s - r_0s},
+    Gamma = sum_s w_s max{0, r_1s - (1 - r_0s)},
 
-    max{0, 1 - 1/RR}  <=  PC  <=  min{1, P(R=0|E=0) / P(R=1|E=1)}.
+the bounds are
 
-Mediator (complete mediation E -> M -> R): with
-a = P(M=0|E=0), b = P(M=1|E=1), c = P(R=0|M=0), d = P(R=1|M=1),
-the lower bound is as above with chain marginals for r_e, and
+    Delta / r1  <=  PC  <=  1 - Gamma / r1                  (no mediator),
+    Delta / r1  <=  PC  <=  min{1, sum_s w_s N_s / r1}      (mediator).
 
-    PC  <=  min{1, N / r1},   N = | ac + (1-b)(1-d)   if a <= b, c <= d
-                                  | bc + (1-a)(1-d)   if a >  b, c <= d
-                                  | ad + (1-b)(1-c)   if a <= b, c >  d
-                                  | bd + (1-a)(1-c)   if a >  b, c >  d.
+Under complete mediation E -> M -> R the rows r_es are the chain marginals
+through M, and with a = P(M=0|E=0), b = P(M=1|E=1), c = P(R=0|M=0),
+d = P(R=1|M=1) in stratum s,
+
+    N_s = | ac + (1-b)(1-d)   if a <= b, c <= d
+          | bc + (1-a)(1-d)   if a >  b, c <= d
+          | ad + (1-b)(1-c)   if a <= b, c >  d
+          | bd + (1-a)(1-c)   if a >  b, c >  d.
 
 At a tie (a = b or c = d) the adjacent cells coincide, so either branch
 gives the same N.
 
-Covariate (sufficient stratifier S): with w_s = P(S=s|E=1) and
-r_es = P(R=1|E=e,S=s),
-
-    Delta / r1  <=  PC  <=  1 - Gamma / r1,
-    Delta = sum_s w_s max{0, r_1s - r_0s},
-    Gamma = sum_s w_s max{0, r_1s - (1 - r_0s)},  r1 = sum_s w_s r_1s.
-
-Mediator and covariate together: lower bound Delta / r1 on the per-stratum
-chain marginals; upper bound min{1, (sum_s w_s N_s) / r1} with N_s the
-mediator cell above computed stratum by stratum.
+Read at K = 1 without a mediator this is the basic family,
+max{0, 1 - 1/RR} <= PC <= min{1, P(R=0|E=0) / P(R=1|E=1)} with RR = r1/r0,
+because Delta / r1 = max{0, 1 - r0/r1} and 1 - Gamma / r1 =
+min{1, (1 - r0)/r1}.  At K = 1 with a mediator it is the mediator family:
+the same lower bound on the chain marginals and upper bound min{1, N/r1}.
 
 Every bound is sharp for its information set: richer information can only
 shrink the interval, which the audit machinery makes observable.
@@ -44,9 +46,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import UndefinedConditionalError, UndefinedPcError
+from .errors import UndefinedPcError
 from .observables import ObservableSet, Quad
-from .scenario import AnalysisMode, Structure
+from .scenario import AnalysisMode
 
 
 class Method(str, enum.Enum):
@@ -75,35 +77,19 @@ class PcInterval:
         return self.upper - self.lower
 
 
-def _finish(lower: float, upper: float, method: Method, mode: AnalysisMode, notes: tuple[str, ...]) -> PcInterval:
-    # the families guarantee lower <= upper algebraically, but the two ends
-    # are computed by different float expressions and can invert by an ulp
-    # at degenerate inputs (e.g. r1 == 1); upper also drifts below 0 the
-    # same way when Gamma == r1
+def finish_interval(
+    lower: float, upper: float, method: Method, mode: AnalysisMode, notes: tuple[str, ...]
+) -> PcInterval:
+    """Clamp raw endpoint values into an interval inside [0, 1].
+
+    Every method ends here.  The two ends are exact algebraically but come
+    from different float expressions, so at degenerate inputs (r1 == 1, or
+    Gamma == r1) they can invert or leave [0, 1] by an ulp; a corner
+    extremum over the oracle's boxes can overshoot 1 the same way.
+    """
     upper = min(1.0, max(0.0, upper))
     lower = min(max(0.0, lower), upper)
     return PcInterval(lower, upper, method, mode, notes)
-
-
-def _require_denominator(observed: ObservableSet) -> None:
-    if observed.p_r1_given_e1 <= 0.0:
-        raise UndefinedPcError("P(R=1|E=1) = 0: the event conditioned on never happens, PC is undefined")
-
-
-def _lower_from_risk_ratio(observed: ObservableSet) -> float:
-    if observed.risk_ratio is None:
-        raise UndefinedConditionalError("P(R=1|E=0) is not available, the relative-risk lower bound is undefined")
-    return max(0.0, 1.0 - 1.0 / observed.risk_ratio)
-
-
-def pc_bounds_basic(observed: ObservableSet) -> PcInterval:
-    """Sharp bounds from the exposure-response margins alone."""
-    _require_denominator(observed)
-    if observed.p_r1_given_e0 is None:
-        raise UndefinedConditionalError("P(R=1|E=0) is not available, the basic bounds are undefined")
-    lower = _lower_from_risk_ratio(observed)
-    upper = min(1.0, (1.0 - observed.p_r1_given_e0) / observed.p_r1_given_e1)
-    return _finish(lower, upper, Method.CLOSED_FORM, observed.mode, observed.notes)
 
 
 def _mediation_cell(summary: Quad) -> float:
@@ -113,61 +99,21 @@ def _mediation_cell(summary: Quad) -> float:
     return b * c + (1.0 - a) * (1.0 - d) if c <= d else b * d + (1.0 - a) * (1.0 - c)
 
 
-def pc_bounds_mediator(observed: ObservableSet) -> PcInterval:
-    """Bounds under complete mediation; tighter above than the basic family."""
-    _require_denominator(observed)
-    if observed.mediator_summary is None:
-        raise ValueError("mediator summary missing from observables")
-    lower = _lower_from_risk_ratio(observed)
-    cell = _mediation_cell(observed.mediator_summary)
-    upper = min(1.0, cell / observed.p_r1_given_e1)
-    return _finish(lower, upper, Method.CLOSED_FORM, observed.mode, observed.notes)
-
-
-def pc_bounds_covariate(observed: ObservableSet) -> PcInterval:
-    """Bounds averaging stratum-level excess risks over the exposed."""
-    _require_denominator(observed)
-    if observed.stratum_weights is None or observed.stratum_response is None:
-        raise ValueError("stratum summaries missing from observables")
+def pc_bounds(observed: ObservableSet) -> PcInterval:
+    """Closed-form bounds: one weighted sum over the strata of `observed`."""
+    r1 = observed.p_r1_given_e1
+    if r1 <= 0.0:
+        raise UndefinedPcError("P(R=1|E=1) = 0: the event conditioned on never happens, PC is undefined")
     delta = 0.0
     gamma = 0.0
-    for weight, (r0, r1) in zip(observed.stratum_weights, observed.stratum_response):
-        delta += weight * max(0.0, r1 - r0)
-        gamma += weight * max(0.0, r1 - (1.0 - r0))
-    lower = delta / observed.p_r1_given_e1
-    upper = 1.0 - gamma / observed.p_r1_given_e1
-    return _finish(lower, upper, Method.CLOSED_FORM, observed.mode, observed.notes)
-
-
-def pc_bounds_mediator_covariate(observed: ObservableSet) -> PcInterval:
-    """Bounds using mediation within each stratum of a sufficient covariate."""
-    _require_denominator(observed)
-    if (
-        observed.stratum_weights is None
-        or observed.stratum_response is None
-        or observed.stratum_mediator_summary is None
-    ):
-        raise ValueError("stratum summaries missing from observables")
-    delta = 0.0
-    weighted_cells = 0.0
-    for weight, (r0, r1), summary in zip(
-        observed.stratum_weights, observed.stratum_response, observed.stratum_mediator_summary
-    ):
-        delta += weight * max(0.0, r1 - r0)
-        weighted_cells += weight * _mediation_cell(summary)
-    lower = delta / observed.p_r1_given_e1
-    upper = min(1.0, weighted_cells / observed.p_r1_given_e1)
-    return _finish(lower, upper, Method.CLOSED_FORM, observed.mode, observed.notes)
-
-
-_DISPATCH = {
-    Structure.BASIC: pc_bounds_basic,
-    Structure.MEDIATOR: pc_bounds_mediator,
-    Structure.COVARIATE: pc_bounds_covariate,
-    Structure.MEDIATOR_COVARIATE: pc_bounds_mediator_covariate,
-}
-
-
-def pc_bounds(observed: ObservableSet) -> PcInterval:
-    """Closed-form bounds for whatever family the observables support."""
-    return _DISPATCH[observed.structure](observed)
+    for weight, (r0_s, r1_s) in zip(observed.stratum_weights, observed.stratum_response):
+        delta += weight * max(0.0, r1_s - r0_s)
+        gamma += weight * max(0.0, r1_s - (1.0 - r0_s))
+    if observed.stratum_mediator_summary is None:
+        upper = 1.0 - gamma / r1
+    else:
+        cells = 0.0
+        for weight, summary in zip(observed.stratum_weights, observed.stratum_mediator_summary):
+            cells += weight * _mediation_cell(summary)
+        upper = min(1.0, cells / r1)
+    return finish_interval(delta / r1, upper, Method.CLOSED_FORM, observed.mode, observed.notes)

@@ -4,7 +4,7 @@ Sweeps seeded random scenarios of every structure, computes both the
 closed-form interval and the corner-enumeration oracle on each, and
 tracks the worst endpoint discrepancy.  The two derivations share nothing
 past the scenario itself, so agreement at 1e-9 over a sweep is strong
-evidence each family is the exact solution of its optimization problem.
+evidence the closed form is the exact solution of its optimization problem.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import json
 import random
 from dataclasses import dataclass
 
-from .bounds import pc_bounds
-from .observables import derive_observables
-from .oracle import oracle_bounds
+from .audit import compute_interval
+from .bounds import Method
 from .randomgen import MIN_MASS, random_scenario
-from .scenario import Scenario, Structure, scenario_to_dict
+from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 250
@@ -70,8 +69,8 @@ def equivalence_sweep(
         worst_endpoint = ""
         for _ in range(trials):
             scenario = random_scenario(rng, structure)
-            closed = pc_bounds(derive_observables(scenario))
-            exact = oracle_bounds(scenario).interval
+            closed = compute_interval(scenario, AnalysisMode.FULL, Method.CLOSED_FORM)
+            exact = compute_interval(scenario, AnalysisMode.FULL, Method.ORACLE)
             for endpoint, gap in (
                 ("lower", abs(closed.lower - exact.lower)),
                 ("upper", abs(closed.upper - exact.upper)),

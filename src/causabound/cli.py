@@ -12,14 +12,12 @@ import argparse
 import json
 import sys
 
-from .audit import run_audit
-from .bounds import Method, pc_bounds
+from .audit import compute_interval, run_audit
+from .bounds import Method
 from .checks import DEFAULT_SEED, DEFAULT_TRIALS, equivalence_sweep, render_sweep_report
 from .contingency import estimate_from_counts, read_counts_csv, structure_for_variables
 from .demo import demo_document, run_demo
 from .errors import InapplicableModeError, ScenarioFormatError, UndefinedConditionalError
-from .observables import derive_observables, reduce_scenario
-from .oracle import oracle_bounds
 from .report import digest_bytes, render_csv, render_json, report_document
 from .scenario import AnalysisMode, Scenario, load_scenario, scenario_to_dict, validate_scenario
 
@@ -107,13 +105,8 @@ def _emit(doc: dict, output: str) -> None:
 def _cmd_bound(args: argparse.Namespace) -> int:
     scenario, digest = _load_input(args.input)
     mode = AnalysisMode(args.mode)
-    intervals = []
-    for method in _methods(args.method):
-        if method is Method.CLOSED_FORM:
-            intervals.append(pc_bounds(derive_observables(scenario, mode)))
-        else:
-            intervals.append(oracle_bounds(reduce_scenario(scenario, mode), mode).interval)
-    _emit(report_document(scenario, digest, tuple(intervals)), args.output)
+    intervals = tuple(compute_interval(scenario, mode, method) for method in _methods(args.method))
+    _emit(report_document(scenario, digest, intervals), args.output)
     return EXIT_OK
 
 

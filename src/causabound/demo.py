@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .audit import applicable_modes
-from .bounds import Method, pc_bounds
+from ._version import __version__
+from .audit import applicable_modes, compute_interval
+from .bounds import Method
 from .contingency import ContingencyTable, estimate_from_counts
-from .observables import derive_observables, reduce_scenario
-from .oracle import oracle_bounds
-from .report import display
-from .scenario import AnalysisMode, Scenario, Structure
+from .report import display, full_precision
+from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,80 +97,38 @@ def _cases() -> tuple[ReferenceCase, ...]:
 REFERENCE_CASES = _cases()
 
 
-def _case_rows(case: ReferenceCase):
-    """Yield (mode, method, interval, expected displays or None) for one case."""
-    expected_by_mode = {mode: (lo, hi) for mode, lo, hi in case.expected}
-    for mode in applicable_modes(case.scenario.structure):
-        expected = expected_by_mode.get(mode)
-        for method in (Method.CLOSED_FORM, Method.ORACLE):
-            if method is Method.CLOSED_FORM:
-                interval = pc_bounds(derive_observables(case.scenario, mode))
-            else:
-                interval = oracle_bounds(reduce_scenario(case.scenario, mode), mode).interval
-            yield mode, method, interval, expected
-
-
-def run_demo(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[str, bool]:
-    """Recompute every reference interval both ways; render a text table.
-
-    Returns the rendered table and whether all displays matched.
-    """
-    if cases is None:
-        cases = REFERENCE_CASES
-    lines = []
-    ok = True
-    checked = 0
-    for case in cases:
-        lines.append(f"{case.name}: {case.summary}")
-        for mode, method, interval, expected in _case_rows(case):
-            got = (display(interval.lower), display(interval.upper))
-            verdict = ""
-            if expected is not None:
-                checked += 1
-                if got == expected:
-                    verdict = "ok"
-                else:
-                    verdict = f"MISMATCH, expected [{expected[0]}, {expected[1]}]"
-                    ok = False
-            lines.append(
-                f"  {mode.value:<16} {method.value:<7} [{got[0]}, {got[1]}]  {verdict}".rstrip()
-            )
-        lines.append("")
-    lines.append(
-        f"demo: {'ok' if ok else 'FAILED'} ({checked} intervals checked against their reference displays)"
-    )
-    return "\n".join(lines) + "\n", ok
-
-
 def demo_document(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[dict, bool]:
-    """Machine-readable counterpart of run_demo: same checks, JSON-friendly dict."""
-    from ._version import __version__
-    from .report import full_precision
-    from .scenario import scenario_to_dict
+    """Recompute every reference interval both ways and check its displays.
 
+    Returns a JSON-friendly document and whether all displays matched.
+    """
     if cases is None:
         cases = REFERENCE_CASES
     doc_cases = []
     ok = True
     checked = 0
     for case in cases:
+        expected_by_mode = {mode: (lo, hi) for mode, lo, hi in case.expected}
         rows = []
-        for mode, method, interval, expected in _case_rows(case):
-            got = (display(interval.lower), display(interval.upper))
-            row = {
-                "mode": mode.value,
-                "method": method.value,
-                "lower": full_precision(interval.lower),
-                "upper": full_precision(interval.upper),
-                "lower_display": got[0],
-                "upper_display": got[1],
-            }
-            if expected is not None:
-                checked += 1
-                row["expected_display"] = [expected[0], expected[1]]
-                row["matches"] = got == expected
-                ok = ok and row["matches"]
-            rows.append(row)
+        for mode in applicable_modes(case.scenario.structure):
+            expected = expected_by_mode.get(mode)
+            for method in (Method.CLOSED_FORM, Method.ORACLE):
+                interval = compute_interval(case.scenario, mode, method)
+                got = (display(interval.lower), display(interval.upper))
+                row = {
+                    "mode": mode.value,
+                    "method": method.value,
+                    "lower": full_precision(interval.lower),
+                    "upper": full_precision(interval.upper),
+                    "lower_display": got[0],
+                    "upper_display": got[1],
+                }
+                if expected is not None:
+                    checked += 1
+                    row["expected_display"] = [expected[0], expected[1]]
+                    row["matches"] = got == expected
+                    ok = ok and row["matches"]
+                rows.append(row)
         doc_cases.append(
             {
                 "name": case.name,
@@ -188,3 +145,25 @@ def demo_document(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[dict,
         "ok": ok,
     }
     return doc, ok
+
+
+def run_demo(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[str, bool]:
+    """demo_document rendered as a text table; returns it and the verdict."""
+    doc, ok = demo_document(cases)
+    lines = []
+    for case in doc["cases"]:
+        lines.append(f"{case['name']}: {case['summary']}")
+        for row in case["intervals"]:
+            verdict = ""
+            if "matches" in row:
+                lo, hi = row["expected_display"]
+                verdict = "ok" if row["matches"] else f"MISMATCH, expected [{lo}, {hi}]"
+            lines.append(
+                f"  {row['mode']:<16} {row['method']:<7} "
+                f"[{row['lower_display']}, {row['upper_display']}]  {verdict}".rstrip()
+            )
+        lines.append("")
+    lines.append(
+        f"demo: {'ok' if ok else 'FAILED'} ({doc['checked']} intervals checked against their reference displays)"
+    )
+    return "\n".join(lines) + "\n", ok

@@ -1,27 +1,59 @@
-"""Backend selection for the scan kernels.
+"""Grid-scan loops behind `oracle.grid_scan_bounds`.
 
-Prefers the compiled extension, falls back to the pure-Python twin when
-the build skipped it, and honors CAUSABOUND_PURE_PYTHON=1 for forcing the
-fallback (benchmarks and the backend-equality tests use that).  Both
-backends are bit-equal by construction.
+Plain Python, no NumPy: the oracle imports this module on every CLI call,
+where importing NumPy would cost more than the computation itself.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("CAUSABOUND_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as _impl  # type: ignore[no-redef]
-
-scan_single = _impl.scan_single
-scan_pair = _impl.scan_pair
-
 
 def backend_name() -> str:
-    """Which implementation is live: "compiled" or "python"."""
-    return _impl.BACKEND
+    """Which implementation is live; there is one, in plain Python."""
+    return "python"
+
+
+def scan_single(p1: float, q_lo: float, q_hi: float, resolution: int) -> tuple[float, float]:
+    """Min and max of p1 - q over a uniform q grid including both ends."""
+    step = (q_hi - q_lo) / (resolution - 1)
+    lo = hi = p1 - q_lo
+    for i in range(resolution):
+        q = q_hi if i == resolution - 1 else q_lo + step * i
+        v = p1 - q
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+    return lo, hi
+
+
+def scan_pair(
+    pm0: float,
+    pm1: float,
+    qm_lo: float,
+    qm_hi: float,
+    pr0: float,
+    pr1: float,
+    qr_lo: float,
+    qr_hi: float,
+    resolution: int,
+) -> tuple[float, float]:
+    """Min and max of the two-box numerator over the product grid.
+
+    The objective is (pm1 - qm)(pr1 - qr) + (pm0 - qm)(pr0 - qr); both grid
+    axes include their exact endpoints.
+    """
+    m_step = (qm_hi - qm_lo) / (resolution - 1)
+    r_step = (qr_hi - qr_lo) / (resolution - 1)
+    lo = hi = (pm1 - qm_lo) * (pr1 - qr_lo) + (pm0 - qm_lo) * (pr0 - qr_lo)
+    for i in range(resolution):
+        qm = qm_hi if i == resolution - 1 else qm_lo + m_step * i
+        am = pm1 - qm
+        bm = pm0 - qm
+        for j in range(resolution):
+            qr = qr_hi if j == resolution - 1 else qr_lo + r_step * j
+            v = am * (pr1 - qr) + bm * (pr0 - qr)
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+    return lo, hi

@@ -1,7 +1,7 @@
 """Observable summaries and analysis-mode reductions.
 
 The bounds formulas do not consume a Scenario directly; they consume an
-ObservableSet, the handful of functionals the relevant formula family is
+ObservableSet, the handful of per-stratum functionals the closed form is
 written in.  Deriving one is mostly bookkeeping, with three pieces of real
 arithmetic:
 
@@ -28,7 +28,7 @@ so every analysis mode reuses the same downstream derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InapplicableModeError, UndefinedConditionalError
 from .scenario import AnalysisMode, Pair, Scenario, Structure
@@ -44,14 +44,17 @@ def chain_response(mediator_pair: Pair, response_pair: Pair, exposure_value: int
 
 @dataclass(frozen=True, slots=True)
 class ObservableSet:
-    """Inputs to one bounds-formula family, plus provenance notes.
+    """Inputs to the closed-form bounds, plus provenance notes.
 
-    `structure` is the effective structure after the mode's reductions;
-    which optional fields are populated follows it.  `p_r1_given_e1` and
-    `p_r1_given_e0` are the values the formulas consume: chain marginals
-    whenever a mediator is in play.  When those differ from the joint-law
-    marginals of the original scenario, the true values are kept in
-    `marginal_p_r1_given_e*` and a note says so.
+    `structure` is the effective structure after the mode's reductions.
+    Every set is stratified: a structure without a covariate is one stratum
+    of weight 1.  `stratum_weights` are P(S=s|E=1), `stratum_response` the
+    rows (P(R=1|E=0,S=s), P(R=1|E=1,S=s)), and `stratum_mediator_summary`
+    the per-stratum mediator quadruples, present exactly when a mediator is.
+    `p_r1_given_e1` and `p_r1_given_e0` are the values the formulas
+    consume: chain marginals whenever a mediator is in play.  When those
+    differ from the joint-law marginals of the original scenario, the true
+    values are kept in `marginal_p_r1_given_e*` and a note says so.
 
     `risk_ratio` is +inf when P(R=1|E=0) = 0 < P(R=1|E=1), and None when
     it is not defined at all (0/0, or an unavailable marginal).
@@ -62,9 +65,8 @@ class ObservableSet:
     p_r1_given_e1: float
     p_r1_given_e0: float | None
     risk_ratio: float | None
-    mediator_summary: Quad | None = None
-    stratum_weights: tuple[float, ...] | None = None
-    stratum_response: tuple[Pair, ...] | None = None
+    stratum_weights: tuple[float, ...]
+    stratum_response: tuple[Pair, ...]
     stratum_mediator_summary: tuple[Quad, ...] | None = None
     marginal_p_r1_given_e1: float | None = None
     marginal_p_r1_given_e0: float | None = None
@@ -215,35 +217,25 @@ def _quad(mediator_pair: Pair, response_pair: Pair) -> Quad:
 
 def _observe_reduced(scenario: Scenario, mode: AnalysisMode) -> ObservableSet:
     st = scenario.structure
+    strata = range(scenario.n_strata)
+    weights = _stratum_posterior(scenario, 1) if st.has_covariate else (1.0,)
     notes: tuple[str, ...] = ()
-    if st is Structure.BASIC:
-        p0, p1 = scenario.response
-        rr, rr_notes = _risk_ratio(p1, p0)
-        return ObservableSet(st, mode, p1, p0, rr, notes=notes + rr_notes)
-
-    if st is Structure.MEDIATOR:
-        p0 = chain_response(scenario.mediator, scenario.response, 0)  # type: ignore[arg-type]
-        p1 = chain_response(scenario.mediator, scenario.response, 1)  # type: ignore[arg-type]
-        rr, rr_notes = _risk_ratio(p1, p0)
-        notes += ("P(R=1|E=e) is the chain marginal through M",) + rr_notes
-        return ObservableSet(st, mode, p1, p0, rr, mediator_summary=_quad(scenario.mediator, scenario.response), notes=notes)  # type: ignore[arg-type]
-
-    weights = _stratum_posterior(scenario, 1)
-    if st is Structure.COVARIATE:
-        stratum_response = tuple(scenario.response_pair(s) for s in range(scenario.n_strata))
-        quads = None
-    else:
+    if st.has_mediator:
         stratum_response = tuple(
             (
                 chain_response(scenario.mediator_pair(s), scenario.response_pair(s), 0),
                 chain_response(scenario.mediator_pair(s), scenario.response_pair(s), 1),
             )
-            for s in range(scenario.n_strata)
+            for s in strata
         )
-        quads = tuple(_quad(scenario.mediator_pair(s), scenario.response_pair(s)) for s in range(scenario.n_strata))
-        notes += ("per-stratum P(R=1|E=e,S=s) is the chain marginal through M",)
+        quads = tuple(_quad(scenario.mediator_pair(s), scenario.response_pair(s)) for s in strata)
+        where = "per-stratum P(R=1|E=e,S=s)" if st.has_covariate else "P(R=1|E=e)"
+        notes += (f"{where} is the chain marginal through M",)
+    else:
+        stratum_response = tuple(scenario.response_pair(s) for s in strata)
+        quads = None
     p1 = 0.0
-    for s in range(scenario.n_strata):
+    for s in strata:
         p1 += weights[s] * stratum_response[s][1]
     try:
         p0 = true_marginal_response(scenario, 0)
@@ -251,17 +243,7 @@ def _observe_reduced(scenario: Scenario, mode: AnalysisMode) -> ObservableSet:
         p0 = None
         notes += ("P(E=0) = 0: marginal P(R=1|E=0) unavailable",)
     rr, rr_notes = _risk_ratio(p1, p0)
-    return ObservableSet(
-        st,
-        mode,
-        p1,
-        p0,
-        rr,
-        stratum_weights=weights,
-        stratum_response=stratum_response,
-        stratum_mediator_summary=quads,
-        notes=notes + rr_notes,
-    )
+    return ObservableSet(st, mode, p1, p0, rr, weights, stratum_response, quads, notes=notes + rr_notes)
 
 
 def derive_observables(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) -> ObservableSet:
@@ -289,13 +271,8 @@ def derive_observables(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FUL
         )
         if observed.p_r1_given_e0 is not None and truth0 is not None:
             note += f", P(R=1|E=0) {observed.p_r1_given_e0:.12g} vs {truth0:.12g}"
-        return ObservableSet(
-            observed.structure,
-            mode,
-            observed.p_r1_given_e1,
-            observed.p_r1_given_e0,
-            observed.risk_ratio,
-            mediator_summary=observed.mediator_summary,
+        return replace(
+            observed,
             marginal_p_r1_given_e1=truth1,
             marginal_p_r1_given_e0=truth0,
             notes=observed.notes + (note,),

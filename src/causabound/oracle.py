@@ -18,11 +18,13 @@ the objective is a weighted sum over variationally independent boxes.
 
 The corner search ('oracle_bounds') returns a certificate carrying the
 extremal vertex assignments; re-evaluating its objective at those
-assignments reproduces the endpoints exactly, since the same expressions
-run in the same order.  The grid scan ('grid_scan_bounds') checks the
-corner argument itself: its uniform grids include the exact box ends, so
-it can never beat the corner search by more than float noise, at any
-resolution.
+assignments reproduces the raw extrema exactly, since the same expressions
+run in the same order.  The endpoints are those extrema after the clamp
+into [0, 1] that every method ends with (`bounds.finish_interval`), so a
+raw maximum of 1 + 1 ulp is reported as 1.  The grid scan
+('grid_scan_bounds') checks the corner argument itself: its uniform grids
+include the exact box ends, so it can never beat the corner search by more
+than float noise, at any resolution.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .bounds import Method, PcInterval
+from .bounds import Method, PcInterval, finish_interval
 from .errors import UndefinedPcError
 from .frechet import FrechetBox, frechet_box
 from .observables import chain_response
@@ -154,12 +156,12 @@ def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) ->
         total_max += best_hi
         argmin.append(at_lo)
         argmax.append(at_hi)
-    interval = PcInterval(
+    interval = finish_interval(
         total_min / denominator,
         total_max / denominator,
         Method.ORACLE,
         mode,
-        notes=("corner enumeration over the potential-outcome boxes",),
+        ("corner enumeration over the potential-outcome boxes",),
     )
     return OracleCertificate(interval, strata, denominator, tuple(argmin), tuple(argmax))
 
@@ -191,10 +193,10 @@ def grid_scan_bounds(
             )
         total_min += boxes.weight * lo
         total_max += boxes.weight * hi
-    return PcInterval(
+    return finish_interval(
         total_min / denominator,
         total_max / denominator,
         Method.ORACLE,
         mode,
-        notes=(f"uniform grid scan, {resolution} points per joint parameter",),
+        (f"uniform grid scan, {resolution} points per joint parameter",),
     )

@@ -90,7 +90,7 @@ class TestMediator:
         # a=b and c=d: adjacent cells of the four-branch numerator coincide
         sc = Scenario(Structure.MEDIATOR, response=(0.4, 0.6), mediator=(0.5, 0.5))
         obs = derive_observables(sc, AnalysisMode.FULL)
-        a, b, c, d = obs.mediator_summary
+        [(a, b, c, d)] = obs.stratum_mediator_summary
         assert a == b and c == d
         n_low_low = a * c + (1 - b) * (1 - d)
         n_high_low = b * c + (1 - a) * (1 - d)

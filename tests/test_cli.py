@@ -20,6 +20,11 @@ MEDIATION_JSON = str(DATA / "complete_mediation.json")
 CROSSOVER_JSON = str(DATA / "crossover_covariate.json")
 CONFOUNDED_JSON = str(DATA / "mediated_confounding.json")
 CONFOUNDED_CSV = str(DATA / "mediated_confounding_counts.csv")
+OVERSHOOTING_MEDIATOR = {
+    "structure": "mediator",
+    "mediator": {"E=0": 0.2, "E=1": 0.8},
+    "response": {"M=0": 0.2, "M=1": 0.5},
+}
 
 
 def run(capsys, *argv):
@@ -108,6 +113,20 @@ class TestBound:
         code, _, err = run(capsys, "bound", str(path))
         assert code == EXIT_UNDEFINED
         assert "undefined" in err
+
+    @pytest.mark.parametrize("method", ["oracle", "both"])
+    def test_corner_overshoot_is_clamped_not_a_crash(self, capsys, tmp_path, method):
+        # the oracle's raw corner maximum here is 1.0000000000000002
+        path = tmp_path / "overshoot.json"
+        path.write_text(json.dumps(OVERSHOOTING_MEDIATOR))
+        code, out, err = run(capsys, "bound", str(path), "--method", method)
+        assert code == EXIT_OK, err
+        for entry in json.loads(out)["intervals"]:
+            assert entry["upper"] == 1.0
+            assert entry["lower_display"] == "0.41"
+        code, out, err = run(capsys, "audit", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        assert all(e["upper"] == 1.0 for e in json.loads(out)["audit"]["entries"])
 
     def test_inapplicable_mode_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "bound", TRIAL_CSV, "--mode", "ignore-mediator")

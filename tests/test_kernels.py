@@ -1,13 +1,9 @@
-"""Backend selection and compiled/pure scan agreement."""
+"""The plain-Python grid-scan loops."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-from causabound import _kernels_py
 from causabound import kernels
 
 
@@ -20,66 +16,22 @@ def random_box(rng):
 
 
 def test_selected_backend_is_reported():
-    assert kernels.backend_name() in ("compiled", "python")
+    assert kernels.backend_name() == "python"
 
 
 def test_pure_backend_endpoint_inclusion():
-    lo, hi = _kernels_py.scan_single(0.3, 0.0, 0.12, 2)
+    lo, hi = kernels.scan_single(0.3, 0.0, 0.12, 2)
     assert (lo, hi) == (0.3 - 0.12, 0.3)
     # interior points cannot widen a linear scan
-    lo5, hi5 = _kernels_py.scan_single(0.3, 0.0, 0.12, 5)
+    lo5, hi5 = kernels.scan_single(0.3, 0.0, 0.12, 5)
     assert (lo5, hi5) == (lo, hi)
 
 
 def test_pure_pair_scan_matches_hand_corners():
     # complete-mediation boxes: best corner 0.2275, worst 0.18
-    lo, hi = _kernels_py.scan_pair(0.975, 0.75, 0.725, 0.75, 0.9, 0.1, 0.0, 0.1, 2)
+    lo, hi = kernels.scan_pair(0.975, 0.75, 0.725, 0.75, 0.9, 0.1, 0.0, 0.1, 2)
     assert lo == pytest.approx(0.18, abs=1e-12)
     assert hi == pytest.approx(0.2275, abs=1e-12)
-
-
-class TestCompiledTwin:
-    @pytest.fixture(autouse=True)
-    def compiled(self):
-        return pytest.importorskip("causabound._kernels")
-
-    def test_single_scan_bit_equality(self, compiled):
-        rng = random.Random(7)
-        for _ in range(300):
-            p0, p1, q_min, q_max = random_box(rng)
-            resolution = rng.randint(2, 40)
-            assert compiled.scan_single(p1, q_min, q_max, resolution) == \
-                _kernels_py.scan_single(p1, q_min, q_max, resolution)
-
-    def test_pair_scan_bit_equality(self, compiled):
-        rng = random.Random(11)
-        for _ in range(300):
-            pm0, pm1, qm_min, qm_max = random_box(rng)
-            pr0, pr1, qr_min, qr_max = random_box(rng)
-            resolution = rng.randint(2, 15)
-            got = compiled.scan_pair(
-                pm0, pm1, qm_min, qm_max, pr0, pr1, qr_min, qr_max, resolution
-            )
-            want = _kernels_py.scan_pair(
-                pm0, pm1, qm_min, qm_max, pr0, pr1, qr_min, qr_max, resolution
-            )
-            assert got == want
-
-    def test_backends_expose_their_identity(self, compiled):
-        assert compiled.BACKEND == "compiled"
-        assert _kernels_py.BACKEND == "python"
-
-
-def test_environment_override_forces_pure_backend():
-    env = dict(os.environ, CAUSABOUND_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from causabound import kernels; print(kernels.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
 
 
 def test_scan_results_are_ordered():

@@ -37,12 +37,13 @@ class TestFullMode:
         assert obs.p_r1_given_e1 == 0.3
         assert obs.p_r1_given_e0 == 0.12
         assert obs.risk_ratio == 2.5
-        assert obs.mediator_summary is None
-        assert obs.stratum_weights is None
+        assert obs.stratum_mediator_summary is None
+        assert obs.stratum_weights == (1.0,)
+        assert obs.stratum_response == ((0.12, 0.3),)
 
     def test_mediator_quad_and_chain(self, mediation_scenario):
         obs = derive_observables(mediation_scenario, AnalysisMode.FULL)
-        a, b, c, d = obs.mediator_summary
+        [(a, b, c, d)] = obs.stratum_mediator_summary
         assert a == pytest.approx(0.025, abs=APPROX)
         assert b == 0.75
         assert c == pytest.approx(0.1, abs=APPROX)
@@ -81,7 +82,7 @@ class TestCollapses:
         obs = derive_observables(confounded_scenario, AnalysisMode.IGNORE_COVARIATE)
         # Bayes-weighted collapse of the stratified tables, exact rationals:
         # a = P(M=0|E=0), b = P(M=1|E=1), c = P(R=0|M=0), d = P(R=1|M=1)
-        assert obs.mediator_summary == pytest.approx(
+        assert obs.stratum_mediator_summary[0] == pytest.approx(
             (
                 float(Fraction(171, 820)),
                 float(Fraction(11, 20)),
@@ -108,7 +109,6 @@ class TestCollapses:
 
     def test_ignore_mediator_keeps_strata(self, confounded_scenario):
         obs = derive_observables(confounded_scenario, AnalysisMode.IGNORE_MEDIATOR)
-        assert obs.mediator_summary is None
         assert obs.stratum_mediator_summary is None
         assert obs.stratum_response[0] == pytest.approx((0.79, 0.77), abs=APPROX)
         assert obs.stratum_response[1] == pytest.approx((0.42, 0.42), abs=APPROX)
@@ -141,7 +141,9 @@ class TestReduceScenario:
         assert red.structure is Structure.MEDIATOR
         obs = derive_observables(confounded_scenario, AnalysisMode.IGNORE_COVARIATE)
         full = derive_observables(red, AnalysisMode.FULL)
-        assert full.mediator_summary == pytest.approx(obs.mediator_summary, abs=APPROX)
+        assert full.stratum_mediator_summary[0] == pytest.approx(
+            obs.stratum_mediator_summary[0], abs=APPROX
+        )
 
     def test_reduction_observables_match_direct_mode(self, confounded_scenario):
         for mode in (

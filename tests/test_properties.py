@@ -4,11 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from causabound import (
     AnalysisMode,
     ContingencyTable,
+    Method,
     Scenario,
     Structure,
     applicable_modes,
@@ -27,6 +28,10 @@ from causabound import (
     scenario_to_dict,
     validate_scenario,
 )
+from causabound.bounds import finish_interval
+
+# the corner maximum of this scenario is 1 + 1 ulp before the clamp
+OVERSHOOTING_MEDIATOR = Scenario(Structure.MEDIATOR, response=(0.2, 0.5), mediator=(0.2, 0.8))
 
 probs = st.floats(min_value=0.001, max_value=0.999)
 pairs = st.tuples(probs, probs)
@@ -109,10 +114,13 @@ def test_closed_form_matches_oracle(scenario):
 
 @settings(max_examples=60)
 @given(any_scenario)
+@example(OVERSHOOTING_MEDIATOR)
 def test_certificate_reevaluation_is_exact(scenario):
+    # the raw extrema pass through the same clamp as the reported endpoints
     cert = oracle_bounds(scenario)
-    assert cert.objective(cert.argmin) == cert.interval.lower
-    assert cert.objective(cert.argmax) == cert.interval.upper
+    lower, upper = cert.objective(cert.argmin), cert.objective(cert.argmax)
+    iv = cert.interval
+    assert finish_interval(lower, upper, Method.ORACLE, iv.mode, iv.notes) == iv
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
@@ -144,6 +152,7 @@ def test_stratified_mediator_refines_stratified_marginals(scenario):
 
 @settings(max_examples=40)
 @given(mediator_scenarios(), st.integers(min_value=2, max_value=25))
+@example(OVERSHOOTING_MEDIATOR, 2)
 def test_grid_scan_never_escapes_the_corner_interval(scenario, resolution):
     cert = oracle_bounds(scenario)
     grid = grid_scan_bounds(scenario, resolution)
@@ -200,19 +209,14 @@ def test_observable_probabilities_stay_in_range(scenario):
         values = [obs.p_r1_given_e1]
         if obs.p_r1_given_e0 is not None:
             values.append(obs.p_r1_given_e0)
-        if obs.mediator_summary is not None:
-            values.extend(obs.mediator_summary)
-        if obs.stratum_weights is not None:
-            values.extend(obs.stratum_weights)
-        if obs.stratum_response is not None:
-            for row in obs.stratum_response:
-                values.extend(row)
+        values.extend(obs.stratum_weights)
+        for row in obs.stratum_response:
+            values.extend(row)
         if obs.stratum_mediator_summary is not None:
             for quad in obs.stratum_mediator_summary:
                 values.extend(quad)
         assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values)
-        if obs.stratum_weights is not None:
-            assert math.isclose(sum(obs.stratum_weights), 1.0, abs_tol=1e-9)
+        assert math.isclose(sum(obs.stratum_weights), 1.0, abs_tol=1e-9)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -225,5 +229,4 @@ def test_seeded_generator_respects_its_guardrails(seed):
         assert validate_scenario(scenario) == ()
         obs = derive_observables(scenario, AnalysisMode.FULL)
         assert obs.p_r1_given_e1 >= 1e-3
-        if obs.stratum_weights is not None:
-            assert all(w >= 1e-3 for w in obs.stratum_weights)
+        assert all(w >= 1e-3 for w in obs.stratum_weights)
