@@ -6,12 +6,18 @@ assignment.  Estimation divides cell counts by conditioning-cell totals,
 which is the MLE of each conditional table under the structure's
 factorization; for mediator structures the R|M table pools over E, as the
 missing E -> R edge dictates.
+
+Estimation makes one pass over the cells, summing every marginal count at
+once, so it costs O(cells): 16 margin updates per cell at most.  Each
+conditional is then the exact ratio of two integer margins, so the
+estimate does not depend on the order the counts were summed in.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import EmptyConditioningCellError, ScenarioFormatError
@@ -142,56 +148,75 @@ def read_counts_csv(path: str) -> ContingencyTable:
     return ContingencyTable.from_cells(variables, counts)
 
 
-def _conditional(table: ContingencyTable, var: str, condition: dict[str, int]) -> float:
+def _margin_counter(table: ContingencyTable) -> Callable[..., int]:
+    """`count_where` answered from margins summed in one pass over the cells.
+
+    A margin is keyed by an assignment with None for every variable summed
+    out, so each cell adds its count to 2^len(variables) margins.
+    """
+    margins: dict[tuple[int | None, ...], int] = {}
+    for assignment, count in table.cells:
+        for key in itertools.product(*((value, None) for value in assignment)):
+            margins[key] = margins.get(key, 0) + count
+
+    def count_where(**condition: int) -> int:
+        return margins[tuple(condition.get(v) for v in table.variables)]
+
+    return count_where
+
+
+def _conditional(count_where: Callable[..., int], var: str, condition: dict[str, int]) -> float:
     """MLE of P(var=1 | condition) from cell counts; 0/0 is an error."""
-    denominator = table.count_where(**condition)
+    denominator = count_where(**condition)
     if denominator == 0:
         cell = ",".join(f"{v}={condition[v]}" for v in sorted(condition))
         raise EmptyConditioningCellError(f"no observations with {cell}; P({var}=1|{cell}) is 0/0")
-    return table.count_where(**{var: 1, **condition}) / denominator
+    return count_where(**{var: 1, **condition}) / denominator
 
 
 def estimate_from_counts(table: ContingencyTable, structure: Structure) -> Scenario:
     """Point-estimate a Scenario of the given structure from counts.
 
     The table must cover exactly the structure's variables.  Every
-    conditional is a plain cell ratio; the exposure table (or marginal) and
-    the covariate prior come along for free, so the result fully determines
-    a joint law to regenerate expected counts from.
+    conditional is the ratio of two integer margins, all summed in one pass
+    over the cells; the exposure table (or marginal) and the covariate
+    prior come along for free, so the result fully determines a joint law
+    to regenerate expected counts from.
     """
     if table.variables != structure.variables:
         raise ScenarioFormatError(
             f"counts over {set(table.variables)} cannot estimate a {structure.value} scenario"
             f" (needs {set(structure.variables)})"
         )
+    count = _margin_counter(table)
+    total = count()
     k = table.s_levels
     if structure.has_covariate:
-        total = table.total
-        prior = tuple(table.count_where(S=s) / total for s in range(k))
-        exposure = tuple(_conditional(table, "E", {"S": s}) for s in range(k))
+        prior = tuple(count(S=s) / total for s in range(k))
+        exposure = tuple(_conditional(count, "E", {"S": s}) for s in range(k))
         if structure.has_mediator:
             mediator = tuple(
-                (_conditional(table, "M", {"E": 0, "S": s}), _conditional(table, "M", {"E": 1, "S": s}))
+                (_conditional(count, "M", {"E": 0, "S": s}), _conditional(count, "M", {"E": 1, "S": s}))
                 for s in range(k)
             )
             response = tuple(
-                (_conditional(table, "R", {"M": 0, "S": s}), _conditional(table, "R", {"M": 1, "S": s}))
+                (_conditional(count, "R", {"M": 0, "S": s}), _conditional(count, "R", {"M": 1, "S": s}))
                 for s in range(k)
             )
         else:
             mediator = None
             response = tuple(
-                (_conditional(table, "R", {"E": 0, "S": s}), _conditional(table, "R", {"E": 1, "S": s}))
+                (_conditional(count, "R", {"E": 0, "S": s}), _conditional(count, "R", {"E": 1, "S": s}))
                 for s in range(k)
             )
         return Scenario(structure, response, mediator, exposure, prior)
 
-    exposure_marginal = table.count_where(E=1) / table.total
+    exposure_marginal = count(E=1) / total
     if structure.has_mediator:
-        mediator = (_conditional(table, "M", {"E": 0}), _conditional(table, "M", {"E": 1}))
-        response = (_conditional(table, "R", {"M": 0}), _conditional(table, "R", {"M": 1}))
+        mediator = (_conditional(count, "M", {"E": 0}), _conditional(count, "M", {"E": 1}))
+        response = (_conditional(count, "R", {"M": 0}), _conditional(count, "R", {"M": 1}))
         return Scenario(structure, response, mediator, exposure_marginal)
-    response = (_conditional(table, "R", {"E": 0}), _conditional(table, "R", {"E": 1}))
+    response = (_conditional(count, "R", {"E": 0}), _conditional(count, "R", {"E": 1}))
     return Scenario(structure, response, None, exposure_marginal)
 
 

@@ -145,40 +145,63 @@ def true_marginal_response(scenario: Scenario, e: int) -> float:
     return total
 
 
+def _probability(value: float) -> float:
+    """A collapsed conditional, clamped into [0, 1].
+
+    Every table a collapse builds is a probability by construction, but the
+    Bayes weights can amplify an input's tolerance overshoot (say -5e-10)
+    past the tolerance, which the oracle's Frechet boxes then reject.
+    Clamping here gives both methods the same in-range values.
+    """
+    return min(1.0, max(0.0, value))
+
+
+def _collapse_to_basic(scenario: Scenario) -> Scenario:
+    """Drop everything but E and R, keeping the joint-law marginals."""
+    response = (
+        _probability(true_marginal_response(scenario, 0)),
+        _probability(true_marginal_response(scenario, 1)),
+    )
+    return Scenario(Structure.BASIC, response, None, _probability(_exposure_marginal(scenario)))
+
+
 def _collapse_covariate(scenario: Scenario) -> Scenario:
     """Marginalize S out of the tables a covariate-blind analyst keeps."""
-    st = scenario.structure
-    p_e1 = _exposure_marginal(scenario)
-    if st is Structure.COVARIATE:
-        response = (true_marginal_response(scenario, 0), true_marginal_response(scenario, 1))
-        return Scenario(Structure.BASIC, response, None, p_e1)
+    if scenario.structure is Structure.COVARIATE:
+        return _collapse_to_basic(scenario)
     # mediator_covariate: collapse M|E over P(S|E=e) and R|M over P(S|M=m)
     mediator = []
     for e in (0, 1):
         weights = _stratum_posterior(scenario, e)
-        mediator.append(sum(weights[s] * scenario.mediator_pair(s)[e] for s in range(scenario.n_strata)))
+        mediator.append(
+            _probability(sum(weights[s] * scenario.mediator_pair(s)[e] for s in range(scenario.n_strata)))
+        )
     response = []
     for m in (0, 1):
         weights = _mediator_posterior(scenario, m)
-        response.append(sum(weights[s] * scenario.response_pair(s)[m] for s in range(scenario.n_strata)))
+        response.append(
+            _probability(sum(weights[s] * scenario.response_pair(s)[m] for s in range(scenario.n_strata)))
+        )
+    p_e1 = _probability(_exposure_marginal(scenario))
     return Scenario(Structure.MEDIATOR, tuple(response), tuple(mediator), p_e1)
+
+
+def _chain_pair(mediator_pair: Pair, response_pair: Pair) -> Pair:
+    """(P(R=1|E=0), P(R=1|E=1)) through the mediator, as collapsed tables."""
+    return (
+        _probability(chain_response(mediator_pair, response_pair, 0)),
+        _probability(chain_response(mediator_pair, response_pair, 1)),
+    )
 
 
 def _collapse_mediator(scenario: Scenario) -> Scenario:
     """Replace the mediator tables by the chain marginals they induce."""
     if scenario.structure is Structure.MEDIATOR:
-        response = (
-            chain_response(scenario.mediator, scenario.response, 0),  # type: ignore[arg-type]
-            chain_response(scenario.mediator, scenario.response, 1),  # type: ignore[arg-type]
-        )
+        response = _chain_pair(scenario.mediator, scenario.response)  # type: ignore[arg-type]
         return Scenario(Structure.BASIC, response, None, scenario.exposure)
     # mediator_covariate -> covariate with per-stratum chain responses
     response = tuple(
-        (
-            chain_response(scenario.mediator_pair(s), scenario.response_pair(s), 0),
-            chain_response(scenario.mediator_pair(s), scenario.response_pair(s), 1),
-        )
-        for s in range(scenario.n_strata)
+        _chain_pair(scenario.mediator_pair(s), scenario.response_pair(s)) for s in range(scenario.n_strata)
     )
     return Scenario(Structure.COVARIATE, response, None, scenario.exposure, scenario.covariate_prior)
 
@@ -189,6 +212,7 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     Only reductions the structure supports are allowed: a mode may drop M
     or S only where they exist.  Dropping both collapses S first, which
     equals dropping the structure to basic via the true joint marginals.
+    Every table a collapse builds is clamped into [0, 1].
     """
     st = scenario.structure
     if mode.drops_mediator and not st.has_mediator:
@@ -198,8 +222,7 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     if mode is AnalysisMode.FULL:
         return scenario
     if mode is AnalysisMode.IGNORE_BOTH:
-        response = (true_marginal_response(scenario, 0), true_marginal_response(scenario, 1))
-        return Scenario(Structure.BASIC, response, None, _exposure_marginal(scenario))
+        return _collapse_to_basic(scenario)
     if mode is AnalysisMode.IGNORE_MEDIATOR:
         return _collapse_mediator(scenario)
     return _collapse_covariate(scenario)

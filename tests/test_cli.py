@@ -6,6 +6,7 @@ import json
 import pytest
 
 from causabound import demo as demo_module
+from causabound.checks import TOLERANCE
 from causabound.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -24,6 +25,25 @@ OVERSHOOTING_MEDIATOR = {
     "structure": "mediator",
     "mediator": {"E=0": 0.2, "E=1": 0.8},
     "response": {"M=0": 0.2, "M=1": 0.5},
+}
+# valid within the tolerance, but the ignore-* collapses amplify the
+# overshoot to P(R=1|E=1) = -3.6e-9 before clamping
+AMPLIFIED_OVERSHOOT = {
+    "structure": "mediator_covariate",
+    "covariate_prior": [0.08755332567574442, 0.9124466743242555],
+    "exposure": {"S=0": 1.0000000005, "S=1": -5e-10},
+    "mediator": {
+        "E=0,S=0": 0.07997255578428242,
+        "E=0,S=1": -5e-10,
+        "E=1,S=0": 0.9941365893452827,
+        "E=1,S=1": -5e-10,
+    },
+    "response": {
+        "M=0,S=0": 0.0,
+        "M=0,S=1": 0.699032297408949,
+        "M=1,S=0": 1e-300,
+        "M=1,S=1": -5e-10,
+    },
 }
 
 
@@ -172,6 +192,21 @@ class TestAudit:
         audit = json.loads(out)["audit"]
         assert {e["method"] for e in audit["entries"]} == {"closed", "oracle"}
 
+    def test_amplified_overshoot_is_clamped_not_a_crash(self, capsys, tmp_path):
+        path = tmp_path / "amplified.json"
+        path.write_text(json.dumps(AMPLIFIED_OVERSHOOT))
+        code, out, err = run(capsys, "audit", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err
+        entries = json.loads(out)["audit"]["entries"]
+        assert any(e["lower"] is not None for e in entries)
+        for closed, oracle in zip(entries[0::2], entries[1::2]):
+            assert (closed["mode"], closed["method"], oracle["method"]) == (oracle["mode"], "closed", "oracle")
+            assert closed["error"] == oracle["error"]
+            if closed["lower"] is not None:
+                assert abs(closed["lower"] - oracle["lower"]) <= TOLERANCE
+                assert abs(closed["upper"] - oracle["upper"]) <= TOLERANCE
+
 
 class TestEstimate:
     def test_counts_to_scenario_json(self, capsys, confounded_scenario):
@@ -185,6 +220,20 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", CROSSOVER_JSON)
         assert code == EXIT_INPUT_ERROR
         assert err
+
+    def test_empty_stratified_cell_is_undefined(self, capsys, tmp_path):
+        # the confounded counts with stratum S=1's E=1 rows emptied
+        lines = ["E,M,R,S,count"]
+        for line in (DATA / "mediated_confounding_counts.csv").read_text().splitlines()[1:]:
+            e, m, r, s, count = line.split(",")
+            lines.append(",".join((e, m, r, s, "0" if (e, s) == ("1", "1") else count)))
+        path = tmp_path / "empty_stratum.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == EXIT_UNDEFINED
+        assert out == ""
+        assert "Traceback" not in err
+        assert "E=1,S=1" in err
 
 
 class TestOracleCheck:

@@ -15,6 +15,14 @@ from causabound import (
 )
 from conftest import DATA
 
+# mediated_confounding_counts.csv with the E=1 rows of stratum S=1 emptied
+EMPTY_EXPOSED_STRATUM = {
+    (1, 1, 1, 0): 189, (1, 1, 0, 0): 81, (1, 0, 1, 0): 504, (1, 0, 0, 0): 126,
+    (0, 1, 1, 0): 7, (0, 1, 0, 0): 3, (0, 0, 1, 0): 72, (0, 0, 0, 0): 18,
+    (1, 1, 1, 1): 0, (1, 1, 0, 1): 0, (1, 0, 1, 1): 0, (1, 0, 0, 1): 0,
+    (0, 1, 1, 1): 1944, (0, 1, 0, 1): 4536, (0, 0, 1, 1): 1458, (0, 0, 0, 1): 162,
+}
+
 
 class TestTable:
     def test_from_csv(self, trial_counts):
@@ -136,6 +144,12 @@ class TestEstimation:
         )
         with pytest.raises(EmptyConditioningCellError):
             estimate_from_counts(table, Structure.MEDIATOR)
+
+    def test_empty_exposed_stratum_is_named(self):
+        table = ContingencyTable.from_cells(("E", "M", "R", "S"), EMPTY_EXPOSED_STRATUM)
+        with pytest.raises(EmptyConditioningCellError) as caught:
+            estimate_from_counts(table, Structure.MEDIATOR_COVARIATE)
+        assert str(caught.value) == "no observations with E=1,S=1; P(M=1|E=1,S=1) is 0/0"
 
 
 class TestExpectedCounts:

@@ -1,14 +1,17 @@
 """Property-based checks over randomized scenarios."""
 
+import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from causabound import (
     AnalysisMode,
     ContingencyTable,
+    EmptyConditioningCellError,
     Method,
     Scenario,
     Structure,
@@ -186,6 +189,74 @@ def test_saturated_estimation_reproduces_counts(cells):
     fitted = expected_counts(scenario, table.total)
     for assignment, count in table.cells:
         assert fitted[assignment] == pytest.approx(count, abs=1e-6)
+
+
+@st.composite
+def count_tables(draw):
+    """A complete counts table of a random structure, K in 2..6, many zero cells.
+
+    Besides scattered zeros, up to three blocks are emptied: every cell with
+    one variable at a given value in the last variable's given level.  That
+    makes tables with several empty conditioning cells common, which pins
+    the order the estimator checks them in.
+    """
+    structure = draw(st.sampled_from(list(Structure)))
+    levels = [2] * len(structure.variables)
+    if structure.has_covariate:
+        levels[-1] = draw(st.integers(min_value=2, max_value=6))
+    assignments = list(itertools.product(*(range(k) for k in levels)))
+    cell_counts = st.sampled_from((0, 0, 1, 2, 7, 40))
+    counts = draw(st.lists(cell_counts, min_size=len(assignments), max_size=len(assignments)))
+    block = st.tuples(st.integers(0, len(levels) - 2), st.integers(0, 1), st.integers(0, levels[-1] - 1))
+    for var, value, last in draw(st.lists(block, max_size=3)):
+        counts = [0 if a[var] == value and a[-1] == last else c for a, c in zip(assignments, counts)]
+    assume(any(counts))
+    return ContingencyTable.from_cells(structure.variables, dict(zip(assignments, counts))), structure
+
+
+def _scanned_estimate(table, structure):
+    """The MLE with one `count_where` scan per margin, in the estimator's order."""
+
+    def ratio(var, **condition):
+        denominator = table.count_where(**condition)
+        if denominator == 0:
+            cell = ",".join(f"{v}={condition[v]}" for v in sorted(condition))
+            raise EmptyConditioningCellError(f"no observations with {cell}; P({var}=1|{cell}) is 0/0")
+        return table.count_where(**{var: 1}, **condition) / denominator
+
+    cause = "M" if structure.has_mediator else "E"
+    if not structure.has_covariate:
+        exposure = table.count_where(E=1) / table.total
+        mediator = (ratio("M", E=0), ratio("M", E=1)) if structure.has_mediator else None
+        response = (ratio("R", **{cause: 0}), ratio("R", **{cause: 1}))
+        return Scenario(structure, response, mediator, exposure)
+    strata = range(table.s_levels)
+    prior = tuple(table.count_where(S=s) / table.total for s in strata)
+    exposure = tuple(ratio("E", S=s) for s in strata)
+    mediator = None
+    if structure.has_mediator:
+        mediator = tuple((ratio("M", E=0, S=s), ratio("M", E=1, S=s)) for s in strata)
+    response = tuple((ratio("R", **{cause: 0}, S=s), ratio("R", **{cause: 1}, S=s)) for s in strata)
+    return Scenario(structure, response, mediator, exposure, prior)
+
+
+@settings(max_examples=300)
+@given(count_tables())
+def test_one_pass_estimate_equals_per_conditional_scans(table_and_structure):
+    table, structure = table_and_structure
+    try:
+        expected = _scanned_estimate(table, structure)
+    except EmptyConditioningCellError as exc:
+        expected = exc
+    # estimation must not fall back to one table scan per conditional
+    scan = AssertionError("estimate_from_counts scanned the table with count_where")
+    with mock.patch.object(ContingencyTable, "count_where", side_effect=scan):
+        if isinstance(expected, EmptyConditioningCellError):
+            with pytest.raises(EmptyConditioningCellError) as caught:
+                estimate_from_counts(table, structure)
+            assert str(caught.value) == str(expected)
+        else:
+            assert repr(estimate_from_counts(table, structure)) == repr(expected)
 
 
 @given(any_scenario)
