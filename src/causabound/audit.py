@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import Method, PcInterval, pc_bounds
 from .errors import UndefinedConditionalError
@@ -56,8 +56,7 @@ def applicable_modes(structure: Structure) -> tuple[AnalysisMode, ...]:
     return tuple(modes)
 
 
-@dataclass(frozen=True, slots=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     """One (mode, method) cell: an interval, or the error that prevented it."""
 
     mode: AnalysisMode
@@ -66,8 +65,7 @@ class AuditEntry:
     error: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     scenario_digest: str
     structure: Structure
     methods: tuple[Method, ...]

@@ -44,7 +44,8 @@ shrink the interval, which the audit machinery makes observable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
 from .errors import UndefinedPcError
 from .observables import ObservableSet, Quad
@@ -58,19 +59,25 @@ class Method(str, enum.Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True, slots=True)
-class PcInterval:
-    """A closed interval certain to contain PC, with provenance."""
-
+class _IntervalFields(NamedTuple):
     lower: float
     upper: float
     method: Method
     mode: AnalysisMode
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class PcInterval(_IntervalFields):
+    """A closed interval certain to contain PC, with provenance; `_replace` checks it too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs) -> PcInterval:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise ValueError(f"invalid interval [{self.lower!r}, {self.upper!r}]")
+        return self
 
     @property
     def width(self) -> float:
@@ -92,6 +99,15 @@ def finish_interval(
     return PcInterval(lower, upper, method, mode, notes)
 
 
+def require_denominator(r1: float) -> float:
+    """Return P(R=1|E=1) as is; raise if it is zero or subnormal, where rounding swamps the quotient."""
+    if r1 <= 0.0:
+        raise UndefinedPcError("P(R=1|E=1) = 0: the event conditioned on never happens, PC is undefined")
+    if r1 < sys.float_info.min:
+        raise UndefinedPcError(f"P(R=1|E=1) = {r1!r} is subnormal: rounding swamps division, PC is undefined")
+    return r1
+
+
 def _mediation_cell(summary: Quad) -> float:
     a, b, c, d = summary
     if a <= b:
@@ -101,9 +117,7 @@ def _mediation_cell(summary: Quad) -> float:
 
 def pc_bounds(observed: ObservableSet) -> PcInterval:
     """Closed-form bounds: one weighted sum over the strata of `observed`."""
-    r1 = observed.p_r1_given_e1
-    if r1 <= 0.0:
-        raise UndefinedPcError("P(R=1|E=1) = 0: the event conditioned on never happens, PC is undefined")
+    r1 = require_denominator(observed.p_r1_given_e1)
     delta = 0.0
     gamma = 0.0
     for weight, (r0_s, r1_s) in zip(observed.stratum_weights, observed.stratum_response):

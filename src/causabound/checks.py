@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .audit import compute_interval
 from .bounds import Method
@@ -30,8 +30,7 @@ _SWEEP_ORDER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class StructureSweep:
+class StructureSweep(NamedTuple):
     """Worst disagreement seen for one structure."""
 
     structure: Structure
@@ -41,8 +40,7 @@ class StructureSweep:
     worst_endpoint: str
 
 
-@dataclass(frozen=True, slots=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     seed: int
     trials_per_structure: int
     tolerance: float

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyConditioningCellError, ScenarioFormatError
 from .scenario import Scenario, Structure
@@ -33,21 +33,26 @@ _STRUCTURE_BY_VARIABLES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ContingencyTable:
-    """Complete integer counts over `variables` (canonical E, M, R, S order).
-
-    `levels` gives the number of values per variable: 2 for E, M, R and
-    K >= 2 for S.  `cells` pairs every assignment (same variable order)
-    with its count, sorted by assignment; coverage is total, duplicates
-    are impossible, and at least one count is positive.
-    """
-
+class _TableFields(NamedTuple):
     variables: tuple[str, ...]
     levels: tuple[int, ...]
     cells: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self) -> None:
+
+class ContingencyTable(_TableFields):
+    """Complete integer counts over `variables` (canonical E, M, R, S order).
+
+    `levels` gives the number of values per variable: 2 for E, M, R and
+    K >= 2 for S.  `cells` pairs every assignment (same variable order) with
+    its count, sorted by assignment; coverage is total, duplicates are
+    impossible, at least one count is positive, and `_replace` checks it all.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs) -> ContingencyTable:
+        self = super().__new__(cls, *args, **kwargs)
         if self.variables != tuple(v for v in VARIABLE_ORDER if v in self.variables):
             raise ScenarioFormatError(f"variables {self.variables} not in canonical order")
         expected = tuple(itertools.product(*(range(k) for k in self.levels)))
@@ -58,6 +63,7 @@ class ContingencyTable:
                 raise ScenarioFormatError(f"count for {assignment} must be a nonnegative integer")
         if self.total == 0:
             raise ScenarioFormatError("table is empty: all counts are zero")
+        return self
 
     @classmethod
     def from_cells(cls, variables: tuple[str, ...], counts: dict[tuple[int, ...], int]) -> ContingencyTable:

@@ -9,7 +9,7 @@ whole pipeline on data a reader can check by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._version import __version__
 from .audit import applicable_modes, compute_interval
@@ -19,8 +19,7 @@ from .report import display, full_precision
 from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
 
 
-@dataclass(frozen=True, slots=True)
-class ReferenceCase:
+class ReferenceCase(NamedTuple):
     name: str
     summary: str
     scenario: Scenario

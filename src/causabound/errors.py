@@ -26,7 +26,7 @@ class UndefinedConditionalError(CausaboundError, ArithmeticError):
 
 
 class UndefinedPcError(UndefinedConditionalError):
-    """P(R=1 | E=1) is zero, so the probability of causation is undefined."""
+    """P(R=1 | E=1) is zero or subnormal, so the probability of causation is undefined."""
 
 
 class EmptyConditioningCellError(UndefinedConditionalError):

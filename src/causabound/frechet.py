@@ -13,13 +13,12 @@ ends.  This one fact powers both the oracle and the closed-form bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scenario import PROBABILITY_TOLERANCE
 
 
-@dataclass(frozen=True, slots=True)
-class FrechetBox:
+class FrechetBox(NamedTuple):
     """Margins (p0, p1) with the induced range [q_min, q_max] for q."""
 
     p0: float

@@ -28,7 +28,7 @@ so every analysis mode reuses the same downstream derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InapplicableModeError, UndefinedConditionalError
 from .scenario import AnalysisMode, Pair, Scenario, Structure
@@ -42,8 +42,7 @@ def chain_response(mediator_pair: Pair, response_pair: Pair, exposure_value: int
     return response_pair[1] * m1 + response_pair[0] * (1.0 - m1)
 
 
-@dataclass(frozen=True, slots=True)
-class ObservableSet:
+class ObservableSet(NamedTuple):
     """Inputs to the closed-form bounds, plus provenance notes.
 
     `structure` is the effective structure after the mode's reductions.
@@ -282,9 +281,9 @@ def derive_observables(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FUL
         return observed
     # a mediator-form analysis of a collapsed scenario reconstructs marginals
     # through the chain; compare against the joint law of what was dropped
-    truth1 = true_marginal_response(scenario, 1)
+    truth1 = _probability(true_marginal_response(scenario, 1))
     try:
-        truth0 = true_marginal_response(scenario, 0)
+        truth0 = _probability(true_marginal_response(scenario, 0))
     except UndefinedConditionalError:
         truth0 = None
     if _differs(observed.p_r1_given_e1, truth1) or _differs(observed.p_r1_given_e0, truth0):
@@ -294,8 +293,7 @@ def derive_observables(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FUL
         )
         if observed.p_r1_given_e0 is not None and truth0 is not None:
             note += f", P(R=1|E=0) {observed.p_r1_given_e0:.12g} vs {truth0:.12g}"
-        return replace(
-            observed,
+        return observed._replace(
             marginal_p_r1_given_e1=truth1,
             marginal_p_r1_given_e0=truth0,
             notes=observed.notes + (note,),

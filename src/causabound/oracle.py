@@ -29,18 +29,17 @@ than float noise, at any resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
-from .bounds import Method, PcInterval, finish_interval
+from .bounds import Method, PcInterval, finish_interval, require_denominator
 from .errors import UndefinedPcError
 from .frechet import FrechetBox, frechet_box
 from .observables import chain_response
 from .scenario import AnalysisMode, Scenario, Structure
 
 
-@dataclass(frozen=True, slots=True)
-class StratumBoxes:
+class StratumBoxes(NamedTuple):
     """One stratum's search space: weight, response box, optional mediator box."""
 
     weight: float
@@ -48,8 +47,7 @@ class StratumBoxes:
     mediator: FrechetBox | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class OracleCertificate:
+class OracleCertificate(NamedTuple):
     """Extremal interval plus the vertex assignments that attain it.
 
     `argmin` / `argmax` hold one tuple per stratum: (qR,) for single-box
@@ -94,16 +92,16 @@ def _stratum_corners(boxes: StratumBoxes) -> tuple[tuple[float, ...], ...]:
 
 
 def scenario_boxes(scenario: Scenario) -> tuple[tuple[StratumBoxes, ...], float]:
-    """The per-stratum search spaces and the PC denominator P(R=1|E=1)."""
+    """The per-stratum search spaces and the PC denominator P(R=1|E=1), checked usable."""
     st = scenario.structure
     if st is Structure.BASIC:
         r0, r1 = scenario.response
-        return (StratumBoxes(1.0, frechet_box(r0, r1)),), r1
+        return (StratumBoxes(1.0, frechet_box(r0, r1)),), require_denominator(r1)
     if st is Structure.MEDIATOR:
         m_pair = scenario.mediator
         r_pair = scenario.response
         boxes = StratumBoxes(1.0, frechet_box(r_pair[0], r_pair[1]), frechet_box(m_pair[0], m_pair[1]))
-        return (boxes,), chain_response(m_pair, r_pair, 1)  # type: ignore[arg-type]
+        return (boxes,), require_denominator(chain_response(m_pair, r_pair, 1))  # type: ignore[arg-type]
 
     # stratified: weights P(S=s|E=1) by Bayes' rule
     p_e1 = sum(
@@ -126,7 +124,7 @@ def scenario_boxes(scenario: Scenario) -> tuple[tuple[StratumBoxes, ...], float]
         else:
             strata.append(StratumBoxes(weight, frechet_box(r_pair[0], r_pair[1])))
             denominator += weight * r_pair[1]
-    return tuple(strata), denominator
+    return tuple(strata), require_denominator(denominator)
 
 
 def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) -> OracleCertificate:
@@ -137,8 +135,6 @@ def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) ->
     reported certificate is the lexicographically smallest one.
     """
     strata, denominator = scenario_boxes(scenario)
-    if denominator <= 0.0:
-        raise UndefinedPcError("P(R=1|E=1) = 0: the event conditioned on never happens, PC is undefined")
     total_min = 0.0
     total_max = 0.0
     argmin = []
@@ -178,8 +174,6 @@ def grid_scan_bounds(
     if resolution < 2:
         raise ValueError("resolution must be at least 2 to include both box ends")
     strata, denominator = scenario_boxes(scenario)
-    if denominator <= 0.0:
-        raise UndefinedPcError("P(R=1|E=1) = 0: the event conditioned on never happens, PC is undefined")
     total_min = 0.0
     total_max = 0.0
     for boxes in strata:

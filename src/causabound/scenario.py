@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ScenarioFormatError
 
@@ -80,8 +79,7 @@ class AnalysisMode(str, enum.Enum):
         return self in (AnalysisMode.IGNORE_COVARIATE, AnalysisMode.IGNORE_BOTH)
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One observable law, shaped according to `structure`.
 
     Field shapes:
@@ -208,6 +206,17 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
     response_var = "M" if st.has_mediator else "E"
     check_table("response", scenario.response, response_var)
     return tuple(v)
+
+
+def clamp_scenario(scenario: Scenario) -> Scenario:
+    """Clamp the tolerance overshoot that validation admits, so both methods read the same tables."""
+
+    def clamp(value: Any) -> Any:
+        if isinstance(value, tuple):
+            return tuple(map(clamp, value))
+        return value if value is None or 0.0 <= value <= 1.0 else min(1.0, max(0.0, value))
+
+    return Scenario(scenario.structure, *map(clamp, scenario[1:]))
 
 
 # ---------------------------------------------------------------------------

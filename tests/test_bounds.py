@@ -1,6 +1,5 @@
 """Closed-form interval formulas, frozen against exact rational arithmetic."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -188,11 +187,11 @@ class TestMediatorCovariate:
 
 class TestScaleFree:
     def test_exposure_marginal_does_not_move_basic_bounds(self, trial_scenario):
-        shifted = dataclasses.replace(trial_scenario, exposure=0.9)
+        shifted = trial_scenario._replace(exposure=0.9)
         assert bounds_for(shifted) == bounds_for(trial_scenario)
 
     def test_exposure_marginal_does_not_move_mediator_bounds(self, mediation_scenario):
-        shifted = dataclasses.replace(mediation_scenario, exposure=0.25)
+        shifted = mediation_scenario._replace(exposure=0.25)
         assert bounds_for(shifted) == bounds_for(mediation_scenario)
 
 

@@ -1,10 +1,11 @@
 """End-to-end command behavior, exit codes, and output determinism."""
 
-import dataclasses
 import json
+import re
 
 import pytest
 
+from causabound import applicable_modes, derive_observables, scenario_from_dict
 from causabound import demo as demo_module
 from causabound.checks import TOLERANCE
 from causabound.cli import (
@@ -44,6 +45,12 @@ AMPLIFIED_OVERSHOOT = {
         "M=1,S=0": 1e-300,
         "M=1,S=1": -5e-10,
     },
+}
+
+SUBNORMAL_DENOMINATOR = {
+    "structure": "mediator",
+    "mediator": {"E=0": 0.6418946885374921, "E=1": 1e-300},
+    "response": {"M=0": 5e-324, "M=1": 1e-300},
 }
 
 
@@ -148,6 +155,38 @@ class TestBound:
         assert code == EXIT_OK, err
         assert all(e["upper"] == 1.0 for e in json.loads(out)["audit"]["entries"])
 
+    @pytest.mark.parametrize(
+        "source, table, entries",
+        [
+            ("crossover_covariate.json", "exposure", {"S=1": -5e-10}),
+            ("complete_mediation.json", "mediator", {"E=0": -5e-10, "E=1": 1.0}),
+            ("crossover_covariate.json", "exposure", {"S=1": 1.0000000005}),
+        ],
+    )
+    def test_tolerance_overshoot_is_clamped_once(self, capsys, tmp_path, source, table, entries):
+        doc = json.loads((DATA / source).read_text(encoding="utf-8"))
+        doc[table].update(entries)
+        path = tmp_path / "overshoot.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "bound", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        for key, value in entries.items():
+            assert report["input"]["scenario"][table][key] == min(1.0, max(0.0, value))
+        closed, oracle = report["intervals"]
+        assert abs(closed["lower"] - oracle["lower"]) <= TOLERANCE
+        assert abs(closed["upper"] - oracle["upper"]) <= TOLERANCE
+
+    def test_subnormal_denominator_is_undefined(self, capsys, tmp_path):
+        # P(R=1|E=1) = 5e-324: the closed form read [0, 0], the oracle [0, 1]
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(SUBNORMAL_DENOMINATOR))
+        code, out, err = run(capsys, "bound", str(path), "--method", "both")
+        assert code == EXIT_UNDEFINED
+        assert out == ""
+        assert "Traceback" not in err
+        assert "subnormal" in err
+
     def test_inapplicable_mode_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "bound", TRIAL_CSV, "--mode", "ignore-mediator")
         assert code == EXIT_INPUT_ERROR
@@ -206,6 +245,15 @@ class TestAudit:
             if closed["lower"] is not None:
                 assert abs(closed["lower"] - oracle["lower"]) <= TOLERANCE
                 assert abs(closed["upper"] - oracle["upper"]) <= TOLERANCE
+
+    def test_amplified_overshoot_notes_stay_probabilities(self):
+        # in-process, so the entries reach the collapses without the CLI's clamp
+        scenario = scenario_from_dict(AMPLIFIED_OVERSHOOT)
+        for mode in applicable_modes(scenario.structure):
+            observed = derive_observables(scenario, mode)
+            assert not any(re.search(r"-\d", note) for note in observed.notes), observed.notes
+            if observed.marginal_p_r1_given_e1 is not None:
+                assert observed.marginal_p_r1_given_e1 >= 0.0
 
 
 class TestEstimate:
@@ -272,8 +320,7 @@ class TestDemo:
 
     def test_tampered_reference_case_fails_with_diff(self, capsys, monkeypatch):
         cases = list(demo_module.REFERENCE_CASES)
-        broken = dataclasses.replace(
-            cases[0],
+        broken = cases[0]._replace(
             expected=((cases[0].expected[0][0], "0.61", "1.00"),),
         )
         monkeypatch.setattr(demo_module, "REFERENCE_CASES", (broken, *cases[1:]))
