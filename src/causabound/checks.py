@@ -2,9 +2,10 @@
 
 Sweeps seeded random scenarios of every structure, computes both the
 closed-form interval and the corner-enumeration oracle on each, and
-tracks the worst endpoint discrepancy.  The two derivations share nothing
-past the scenario itself, so agreement at 1e-9 over a sweep is strong
-evidence the closed form is the exact solution of its optimization problem.
+tracks the worst endpoint discrepancy.  The two derivations share only the
+scenario and its stratum weights P(S=s|E=1) (`observables.stratum_posterior`);
+past those, agreement at 1e-9 over a sweep is strong evidence the closed
+form is the exact solution of its optimization problem.
 """
 
 from __future__ import annotations

@@ -121,7 +121,10 @@ def structure_for_variables(variables: tuple[str, ...]) -> Structure:
 def read_counts_csv(path: str) -> ContingencyTable:
     """Parse a counts CSV: variable columns then a final `count` column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ScenarioFormatError(f"not a readable counts CSV: {exc}") from None
     rows = [row for row in rows if row and any(field.strip() for field in row)]
     if not rows:
         raise ScenarioFormatError("counts file is empty")
@@ -185,9 +188,9 @@ def estimate_from_counts(table: ContingencyTable, structure: Structure) -> Scena
 
     The table must cover exactly the structure's variables.  Every
     conditional is the ratio of two integer margins, all summed in one pass
-    over the cells; the exposure table (or marginal) and the covariate
-    prior come along for free, so the result fully determines a joint law
-    to regenerate expected counts from.
+    over the cells; the exposure table (the marginal P(E=1) when S is
+    absent) and the covariate prior come along for free, so the result
+    fully determines a joint law to regenerate expected counts from.
     """
     if table.variables != structure.variables:
         raise ScenarioFormatError(
@@ -196,34 +199,20 @@ def estimate_from_counts(table: ContingencyTable, structure: Structure) -> Scena
         )
     count = _margin_counter(table)
     total = count()
-    k = table.s_levels
-    if structure.has_covariate:
-        prior = tuple(count(S=s) / total for s in range(k))
-        exposure = tuple(_conditional(count, "E", {"S": s}) for s in range(k))
-        if structure.has_mediator:
-            mediator = tuple(
-                (_conditional(count, "M", {"E": 0, "S": s}), _conditional(count, "M", {"E": 1, "S": s}))
-                for s in range(k)
-            )
-            response = tuple(
-                (_conditional(count, "R", {"M": 0, "S": s}), _conditional(count, "R", {"M": 1, "S": s}))
-                for s in range(k)
-            )
-        else:
-            mediator = None
-            response = tuple(
-                (_conditional(count, "R", {"E": 0, "S": s}), _conditional(count, "R", {"E": 1, "S": s}))
-                for s in range(k)
-            )
-        return Scenario(structure, response, mediator, exposure, prior)
+    # one condition per stratum; without S the single stratum conditions on nothing
+    strata = [{"S": s} for s in range(table.s_levels)] if structure.has_covariate else [{}]
 
-    exposure_marginal = count(E=1) / total
-    if structure.has_mediator:
-        mediator = (_conditional(count, "M", {"E": 0}), _conditional(count, "M", {"E": 1}))
-        response = (_conditional(count, "R", {"M": 0}), _conditional(count, "R", {"M": 1}))
-        return Scenario(structure, response, mediator, exposure_marginal)
-    response = (_conditional(count, "R", {"E": 0}), _conditional(count, "R", {"E": 1}))
-    return Scenario(structure, response, None, exposure_marginal)
+    def pairs(var: str, cond_var: str) -> tuple[tuple[float, float], ...]:
+        return tuple(
+            (_conditional(count, var, {cond_var: 0, **cond}), _conditional(count, var, {cond_var: 1, **cond}))
+            for cond in strata
+        )
+
+    prior = tuple(count(**cond) / total for cond in strata) if structure.has_covariate else None
+    exposure = tuple(_conditional(count, "E", cond) for cond in strata)
+    mediator = pairs("M", "E") if structure.has_mediator else None
+    response = pairs("R", "M" if structure.has_mediator else "E")
+    return Scenario(structure, response, mediator, exposure, prior)
 
 
 def expected_counts(scenario: Scenario, total: int) -> dict[tuple[int, ...], float]:
@@ -238,30 +227,23 @@ def expected_counts(scenario: Scenario, total: int) -> dict[tuple[int, ...], flo
     if scenario.exposure is None:
         raise ValueError("exposure information required to reconstruct joint counts")
     out: dict[tuple[int, ...], float] = {}
-    strata: tuple[int | None, ...] = tuple(range(scenario.n_strata)) if st.has_covariate else (None,)
-    for s in strata:
-        idx = 0 if s is None else s
-        if s is None:
-            p_s = 1.0
-            p_e1 = scenario.exposure
-        else:
-            p_s = scenario.covariate_prior[s]  # type: ignore[index]
-            p_e1 = scenario.exposure[s]  # type: ignore[index]
+    # without S the single stratum has weight 1 and no S coordinate
+    prior = scenario.covariate_prior or (1.0,)
+    for s, (p_s, p_e1) in enumerate(zip(prior, scenario.exposure)):
+        stratum = (s,) if st.has_covariate else ()
         for e in (0, 1):
             p_e = p_e1 if e == 1 else 1.0 - p_e1
             if st.has_mediator:
-                m1 = scenario.mediator_pair(idx)[e]
+                m1 = scenario.mediator[s][e]  # type: ignore[index]
                 for m in (0, 1):
                     p_m = m1 if m == 1 else 1.0 - m1
-                    r1 = scenario.response_pair(idx)[m]
+                    r1 = scenario.response[s][m]
                     for r in (0, 1):
                         p_r = r1 if r == 1 else 1.0 - r1
-                        key = (e, m, r) if s is None else (e, m, r, s)
-                        out[key] = total * p_s * p_e * p_m * p_r
+                        out[(e, m, r, *stratum)] = total * p_s * p_e * p_m * p_r
             else:
-                r1 = scenario.response_pair(idx)[e]
+                r1 = scenario.response[s][e]
                 for r in (0, 1):
                     p_r = r1 if r == 1 else 1.0 - r1
-                    key = (e, r) if s is None else (e, r, s)
-                    out[key] = total * p_s * p_e * p_r
+                    out[(e, r, *stratum)] = total * p_s * p_e * p_r
     return out

@@ -48,8 +48,8 @@ def _cases() -> tuple[ReferenceCase, ...]:
         "same margins as the trial, but the effect runs through a mediator",
         Scenario(
             Structure.MEDIATOR,
-            response=(0.9, 0.1),
-            mediator=(0.975, 0.75),
+            response=((0.9, 0.1),),
+            mediator=((0.975, 0.75),),
         ),
         None,
         (

@@ -15,7 +15,9 @@ law.  Both are carried so reports can label which one a formula consumed.
 Covariate weights.  Stratum weights are posteriors by Bayes' rule,
     P(S=s|E=e) = P(S=s) P(E=e|S=s) / P(E=e),
 with P(E=e) = sum_s P(S=s) P(E=e|S=s).  A zero P(E=e) makes the weights,
-and everything conditioned on E=e, undefined.
+and everything conditioned on E=e, undefined.  Without S the one stratum
+has weight 1.  `stratum_posterior` is the only place these weights are
+computed; the oracle reads them from it too.
 
 Collapses.  Ignoring a variable means marginalizing it out of the tables
 the analyst keeps: dropping S mixes strata with the posterior weights
@@ -36,10 +38,14 @@ from .scenario import AnalysisMode, Pair, Scenario, Structure
 Quad = tuple[float, float, float, float]
 
 
-def chain_response(mediator_pair: Pair, response_pair: Pair, exposure_value: int) -> float:
-    """P(R=1|E=e) routed through the mediator: the Markov chain marginal."""
-    m1 = mediator_pair[exposure_value]
-    return response_pair[1] * m1 + response_pair[0] * (1.0 - m1)
+def chain_response(mediator: Pair, response: Pair, exposure_value: int) -> float:
+    """P(R=1|E=e) routed through the mediator: the Markov chain marginal.
+
+    `mediator` is one stratum's (P(M=1|E=0), P(M=1|E=1)), `response` its
+    (P(R=1|M=0), P(R=1|M=1)).
+    """
+    m1 = mediator[exposure_value]
+    return response[1] * m1 + response[0] * (1.0 - m1)
 
 
 class ObservableSet(NamedTuple):
@@ -90,8 +96,13 @@ def _exposure_marginal(scenario: Scenario) -> float:
     )
 
 
-def _stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
-    """P(S=s|E=e) by Bayes' rule; raises when P(E=e) = 0."""
+def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
+    """P(S=s|E=e) by Bayes' rule, (1.0,) when S is absent; raises when P(E=e) = 0.
+
+    Both the closed form and the oracle weigh their strata with this.
+    """
+    if not scenario.structure.has_covariate:
+        return (1.0,)
     p_e1 = _exposure_marginal(scenario)
     p_e = p_e1 if e == 1 else 1.0 - p_e1
     if p_e <= 0.0:
@@ -107,10 +118,8 @@ def _stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
 def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
     """P(S=s|M=m) from the joint law of a mediator_covariate scenario."""
     joint = []
-    for s in range(scenario.n_strata):
-        prior = scenario.covariate_prior[s]  # type: ignore[index]
-        expo = scenario.exposure[s]  # type: ignore[index]
-        m_pair = scenario.mediator_pair(s)
+    strata = zip(scenario.covariate_prior, scenario.exposure, scenario.mediator)  # type: ignore[arg-type]
+    for prior, expo, m_pair in strata:
         p_m_given_s = expo * m_pair[1] + (1.0 - expo) * m_pair[0]
         if m == 0:
             p_m_given_s = 1.0 - p_m_given_s
@@ -121,27 +130,30 @@ def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
     return tuple(j / p_m for j in joint)
 
 
+def _response_rows(scenario: Scenario, e: int) -> tuple[float, ...]:
+    """P(R=1|E=e,S=s) per stratum: the chain marginal through M where a mediator is."""
+    if not scenario.structure.has_mediator:
+        return tuple(pair[e] for pair in scenario.response)
+    strata = zip(scenario.mediator, scenario.response)  # type: ignore[arg-type]
+    return tuple(chain_response(m_pair, r_pair, e) for m_pair, r_pair in strata)
+
+
+def _mix(weights: tuple[float, ...], values: tuple[float, ...]) -> float:
+    """sum_s weights[s] values[s], added up in stratum order."""
+    total = 0.0
+    for weight, value in zip(weights, values):
+        total += weight * value
+    return total
+
+
 def true_marginal_response(scenario: Scenario, e: int) -> float:
     """P(R=1|E=e) under the joint law, whatever the structure.
 
-    For mediator structures this is the chain marginal (the model has no
-    other path); for covariate structures it mixes strata with the
-    posterior weights, so it needs P(E=e) > 0.
+    Strata mix with the posterior weights (so with S present it needs
+    P(E=e) > 0); for mediator structures each stratum's value is the chain
+    marginal, as the model has no other path.
     """
-    st = scenario.structure
-    if st is Structure.BASIC:
-        return scenario.response[e]
-    if st is Structure.MEDIATOR:
-        return chain_response(scenario.mediator, scenario.response, e)  # type: ignore[arg-type]
-    weights = _stratum_posterior(scenario, e)
-    total = 0.0
-    for s in range(scenario.n_strata):
-        if st.has_mediator:
-            value = chain_response(scenario.mediator_pair(s), scenario.response_pair(s), e)
-        else:
-            value = scenario.response_pair(s)[e]
-        total += weights[s] * value
-    return total
+    return _mix(stratum_posterior(scenario, e), _response_rows(scenario, e))
 
 
 def _probability(value: float) -> float:
@@ -161,7 +173,7 @@ def _collapse_to_basic(scenario: Scenario) -> Scenario:
         _probability(true_marginal_response(scenario, 0)),
         _probability(true_marginal_response(scenario, 1)),
     )
-    return Scenario(Structure.BASIC, response, None, _probability(_exposure_marginal(scenario)))
+    return Scenario(Structure.BASIC, (response,), None, (_probability(_exposure_marginal(scenario)),))
 
 
 def _collapse_covariate(scenario: Scenario) -> Scenario:
@@ -171,38 +183,21 @@ def _collapse_covariate(scenario: Scenario) -> Scenario:
     # mediator_covariate: collapse M|E over P(S|E=e) and R|M over P(S|M=m)
     mediator = []
     for e in (0, 1):
-        weights = _stratum_posterior(scenario, e)
-        mediator.append(
-            _probability(sum(weights[s] * scenario.mediator_pair(s)[e] for s in range(scenario.n_strata)))
-        )
+        strata = zip(stratum_posterior(scenario, e), scenario.mediator)  # type: ignore[arg-type]
+        mediator.append(_probability(sum(w * pair[e] for w, pair in strata)))
     response = []
     for m in (0, 1):
-        weights = _mediator_posterior(scenario, m)
-        response.append(
-            _probability(sum(weights[s] * scenario.response_pair(s)[m] for s in range(scenario.n_strata)))
-        )
+        strata = zip(_mediator_posterior(scenario, m), scenario.response)
+        response.append(_probability(sum(w * pair[m] for w, pair in strata)))
     p_e1 = _probability(_exposure_marginal(scenario))
-    return Scenario(Structure.MEDIATOR, tuple(response), tuple(mediator), p_e1)
-
-
-def _chain_pair(mediator_pair: Pair, response_pair: Pair) -> Pair:
-    """(P(R=1|E=0), P(R=1|E=1)) through the mediator, as collapsed tables."""
-    return (
-        _probability(chain_response(mediator_pair, response_pair, 0)),
-        _probability(chain_response(mediator_pair, response_pair, 1)),
-    )
+    return Scenario(Structure.MEDIATOR, (tuple(response),), (tuple(mediator),), (p_e1,))
 
 
 def _collapse_mediator(scenario: Scenario) -> Scenario:
-    """Replace the mediator tables by the chain marginals they induce."""
-    if scenario.structure is Structure.MEDIATOR:
-        response = _chain_pair(scenario.mediator, scenario.response)  # type: ignore[arg-type]
-        return Scenario(Structure.BASIC, response, None, scenario.exposure)
-    # mediator_covariate -> covariate with per-stratum chain responses
-    response = tuple(
-        _chain_pair(scenario.mediator_pair(s), scenario.response_pair(s)) for s in range(scenario.n_strata)
-    )
-    return Scenario(Structure.COVARIATE, response, None, scenario.exposure, scenario.covariate_prior)
+    """Replace the mediator tables by the chain marginals they induce, stratum by stratum."""
+    rows = [map(_probability, _response_rows(scenario, e)) for e in (0, 1)]
+    structure = Structure.COVARIATE if scenario.structure.has_covariate else Structure.BASIC
+    return Scenario(structure, tuple(zip(*rows)), None, scenario.exposure, scenario.covariate_prior)
 
 
 def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
@@ -227,44 +222,29 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     return _collapse_covariate(scenario)
 
 
-def _quad(mediator_pair: Pair, response_pair: Pair) -> Quad:
+def _quad(mediator: Pair, response: Pair) -> Quad:
     """(a, b, c, d) = (P(M=0|E=0), P(M=1|E=1), P(R=0|M=0), P(R=1|M=1))."""
-    return (
-        1.0 - mediator_pair[0],
-        mediator_pair[1],
-        1.0 - response_pair[0],
-        response_pair[1],
-    )
+    return (1.0 - mediator[0], mediator[1], 1.0 - response[0], response[1])
 
 
 def _observe_reduced(scenario: Scenario, mode: AnalysisMode) -> ObservableSet:
     st = scenario.structure
-    strata = range(scenario.n_strata)
-    weights = _stratum_posterior(scenario, 1) if st.has_covariate else (1.0,)
+    weights = stratum_posterior(scenario, 1)
     notes: tuple[str, ...] = ()
+    rows0, rows1 = _response_rows(scenario, 0), _response_rows(scenario, 1)
+    quads = None
     if st.has_mediator:
-        stratum_response = tuple(
-            (
-                chain_response(scenario.mediator_pair(s), scenario.response_pair(s), 0),
-                chain_response(scenario.mediator_pair(s), scenario.response_pair(s), 1),
-            )
-            for s in strata
-        )
-        quads = tuple(_quad(scenario.mediator_pair(s), scenario.response_pair(s)) for s in strata)
+        quads = tuple(map(_quad, scenario.mediator, scenario.response))  # type: ignore[arg-type]
         where = "per-stratum P(R=1|E=e,S=s)" if st.has_covariate else "P(R=1|E=e)"
         notes += (f"{where} is the chain marginal through M",)
-    else:
-        stratum_response = tuple(scenario.response_pair(s) for s in strata)
-        quads = None
-    p1 = 0.0
-    for s in strata:
-        p1 += weights[s] * stratum_response[s][1]
+    p1 = _mix(weights, rows1)
     try:
-        p0 = true_marginal_response(scenario, 0)
+        p0 = _mix(stratum_posterior(scenario, 0), rows0)
     except UndefinedConditionalError:
         p0 = None
         notes += ("P(E=0) = 0: marginal P(R=1|E=0) unavailable",)
     rr, rr_notes = _risk_ratio(p1, p0)
+    stratum_response = tuple(zip(rows0, rows1))
     return ObservableSet(st, mode, p1, p0, rr, weights, stratum_response, quads, notes=notes + rr_notes)
 
 

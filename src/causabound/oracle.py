@@ -33,10 +33,9 @@ from typing import NamedTuple
 
 from . import kernels
 from .bounds import Method, PcInterval, finish_interval, require_denominator
-from .errors import UndefinedPcError
 from .frechet import FrechetBox, frechet_box
-from .observables import chain_response
-from .scenario import AnalysisMode, Scenario, Structure
+from .observables import chain_response, stratum_posterior
+from .scenario import AnalysisMode, Scenario
 
 
 class StratumBoxes(NamedTuple):
@@ -92,37 +91,22 @@ def _stratum_corners(boxes: StratumBoxes) -> tuple[tuple[float, ...], ...]:
 
 
 def scenario_boxes(scenario: Scenario) -> tuple[tuple[StratumBoxes, ...], float]:
-    """The per-stratum search spaces and the PC denominator P(R=1|E=1), checked usable."""
-    st = scenario.structure
-    if st is Structure.BASIC:
-        r0, r1 = scenario.response
-        return (StratumBoxes(1.0, frechet_box(r0, r1)),), require_denominator(r1)
-    if st is Structure.MEDIATOR:
-        m_pair = scenario.mediator
-        r_pair = scenario.response
-        boxes = StratumBoxes(1.0, frechet_box(r_pair[0], r_pair[1]), frechet_box(m_pair[0], m_pair[1]))
-        return (boxes,), require_denominator(chain_response(m_pair, r_pair, 1))  # type: ignore[arg-type]
+    """The per-stratum search spaces and the PC denominator P(R=1|E=1), checked usable.
 
-    # stratified: weights P(S=s|E=1) by Bayes' rule
-    p_e1 = sum(
-        scenario.covariate_prior[s] * scenario.exposure[s]  # type: ignore[index]
-        for s in range(scenario.n_strata)
-    )
-    if p_e1 <= 0.0:
-        raise UndefinedPcError("P(E=1) = 0: the event conditioned on never happens, PC is undefined")
+    The stratum weights P(S=s|E=1) come from the same function the closed
+    form uses; the boxes and the objective are the oracle's own.
+    """
     strata = []
     denominator = 0.0
-    for s in range(scenario.n_strata):
-        weight = scenario.covariate_prior[s] * scenario.exposure[s] / p_e1  # type: ignore[index]
-        r_pair = scenario.response_pair(s)
-        if st.has_mediator:
-            m_pair = scenario.mediator_pair(s)
-            strata.append(
-                StratumBoxes(weight, frechet_box(r_pair[0], r_pair[1]), frechet_box(m_pair[0], m_pair[1]))
-            )
+    for s, weight in enumerate(stratum_posterior(scenario, 1)):
+        r_pair = scenario.response[s]
+        response = frechet_box(r_pair[0], r_pair[1])
+        if scenario.structure.has_mediator:
+            m_pair = scenario.mediator[s]  # type: ignore[index]
+            strata.append(StratumBoxes(weight, response, frechet_box(m_pair[0], m_pair[1])))
             denominator += weight * chain_response(m_pair, r_pair, 1)
         else:
-            strata.append(StratumBoxes(weight, frechet_box(r_pair[0], r_pair[1])))
+            strata.append(StratumBoxes(weight, response))
             denominator += weight * r_pair[1]
     return tuple(strata), require_denominator(denominator)
 

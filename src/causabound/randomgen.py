@@ -43,7 +43,7 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
         r0, r1 = rng.random(), rng.random()
         if r1 < MIN_MASS:
             return None
-        return Scenario(structure, (r0, r1))
+        return Scenario(structure, ((r0, r1),))
 
     if structure is Structure.MEDIATOR:
         m0, m1 = _interior(rng), _interior(rng)
@@ -53,7 +53,7 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
         response = (rng.random(), rng.random())
         if chain_response(mediator, response, 1) < MIN_MASS:
             return None
-        return Scenario(structure, response, mediator)
+        return Scenario(structure, (response,), (mediator,))
 
     strata = rng.randint(2, max_strata)
     raw = [rng.random() for _ in range(strata)]

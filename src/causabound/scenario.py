@@ -14,6 +14,13 @@ All tables hold conditional probabilities of the indexed variable being 1.
 Mediator structures carry no direct E -> R edge: R depends on E only
 through M (within a stratum, where S is present).
 
+Every table is stored as K strata of pairs.  A structure without S is the
+single stratum K = 1: its response table is the 1-tuple ((r0, r1),), not
+the bare pair.  So `basic` is `covariate` at K = 1 and `mediator` is
+`mediator_covariate` at K = 1, and nothing downstream branches on the
+shape.  The JSON form keeps the structure's own keys ("E=1", or
+"E=1,S=0" where S is present).
+
 Scenarios are immutable values.  `validate_scenario` reports violations
 instead of raising, so a caller can surface every problem at once; the JSON
 loaders raise ScenarioFormatError for structural problems that make a
@@ -80,49 +87,30 @@ class AnalysisMode(str, enum.Enum):
 
 
 class Scenario(NamedTuple):
-    """One observable law, shaped according to `structure`.
+    """One observable law, stored as K strata (K = 1 when S is absent).
 
-    Field shapes:
+    Field shapes, each tuple indexed by the stratum s:
 
-    - response: Pair for basic (indexed by E) and mediator (indexed by M);
-      a K-tuple of such pairs for the stratified structures.
-    - mediator: Pair (P(M=1|E=0), P(M=1|E=1)) for the mediator structure,
-      K-tuple of pairs for mediator_covariate, otherwise None.
-    - exposure: optional marginal P(E=1) for structures without S; a
-      K-tuple P(E=1|S=s) (required) for structures with S.
-    - covariate_prior: K-tuple P(S=s) for structures with S, else None.
+    - response: K pairs (P(R=1|E=0,S=s), P(R=1|E=1,S=s)), indexed by M
+      instead of E for the mediator structures.
+    - mediator: K pairs (P(M=1|E=0,S=s), P(M=1|E=1,S=s)) when the structure
+      has a mediator, otherwise None.
+    - exposure: K entries P(E=1|S=s), required when S is present; without S
+      the optional marginal (P(E=1),), or None.
+    - covariate_prior: K entries P(S=s), present exactly when S is.
+
+    For example `Scenario(Structure.BASIC, response=((0.12, 0.3),))`.
     """
 
     structure: Structure
-    response: tuple[Any, ...]
-    mediator: tuple[Any, ...] | None = None
-    exposure: tuple[float, ...] | float | None = None
+    response: tuple[Pair, ...]
+    mediator: tuple[Pair, ...] | None = None
+    exposure: tuple[float, ...] | None = None
     covariate_prior: tuple[float, ...] | None = None
 
     @property
     def n_strata(self) -> int:
-        if self.structure.has_covariate and self.covariate_prior is not None:
-            return len(self.covariate_prior)
-        return 1
-
-    def response_pair(self, stratum: int = 0) -> Pair:
-        """Response table row for one stratum (the only row when S is absent)."""
-        if self.structure.has_covariate:
-            return self.response[stratum]
-        return self.response  # type: ignore[return-value]
-
-    def mediator_pair(self, stratum: int = 0) -> Pair:
-        if self.mediator is None:
-            raise ValueError(f"structure {self.structure.value} has no mediator table")
-        if self.structure.has_covariate:
-            return self.mediator[stratum]
-        return self.mediator  # type: ignore[return-value]
-
-    def exposure_probability(self, stratum: int = 0) -> float | None:
-        """P(E=1|S=s), or the marginal P(E=1) when S is absent (may be None)."""
-        if self.structure.has_covariate:
-            return None if self.exposure is None else self.exposure[stratum]
-        return self.exposure  # type: ignore[return-value]
+        return len(self.response)
 
 
 def _is_probability_like(value: Any) -> bool:
@@ -136,11 +124,14 @@ def _check_entry(violations: list[str], label: str, value: Any) -> None:
         violations.append(f"{label}: value {value!r} outside [0, 1]")
 
 
+def _in_stratum(name: str, stratum: int | None) -> str:
+    return name if stratum is None else f"{name}[S={stratum}]"
+
+
 def _check_pair(violations: list[str], name: str, var: str, value: Any, stratum: int | None) -> None:
     suffix = "" if stratum is None else f",S={stratum}"
     if not isinstance(value, tuple) or len(value) != 2:
-        where = name if stratum is None else f"{name}[S={stratum}]"
-        violations.append(f"{where}: expected a pair indexed by {var}=0,1")
+        violations.append(f"{_in_stratum(name, stratum)}: expected a pair indexed by {var}=0,1")
         return
     for v in (0, 1):
         _check_entry(violations, f"{name}[{var}={v}{suffix}]", value[v])
@@ -159,10 +150,12 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
         return (f"structure: expected one of {[s.value for s in Structure]}, found {scenario.structure!r}",)
     st = scenario.structure
 
-    strata: int | None = None
+    # how many strata every table must hold; None when the prior cannot say
+    strata: int | None = 1
     if st.has_covariate:
         prior = scenario.covariate_prior
         if not isinstance(prior, tuple) or len(prior) < 2:
+            strata = None
             v.append("covariate_prior: expected a tuple of at least 2 stratum weights")
         else:
             strata = len(prior)
@@ -175,25 +168,26 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
     elif scenario.covariate_prior is not None:
         v.append(f"covariate_prior: not defined for structure {st.value}")
 
-    if st.has_covariate:
-        expo = scenario.exposure
-        if not isinstance(expo, tuple) or (strata is not None and len(expo) != strata):
+    def stratum(s: int) -> int | None:
+        """Stratum s as messages name it: [S=s] only where S exists."""
+        return s if st.has_covariate else None
+
+    def per_stratum(table: Any) -> bool:
+        return isinstance(table, tuple) and (strata is None or len(table) == strata)
+
+    if st.has_covariate or scenario.exposure is not None:
+        if not per_stratum(scenario.exposure):
             v.append("exposure: expected one P(E=1|S=s) entry per stratum")
         else:
-            for s, p in enumerate(expo):
-                _check_entry(v, f"exposure[S={s}]", p)
-    elif scenario.exposure is not None:
-        _check_entry(v, "exposure", scenario.exposure)
+            for s, p in enumerate(scenario.exposure):  # type: ignore[arg-type]
+                _check_entry(v, _in_stratum("exposure", stratum(s)), p)
 
     def check_table(name: str, table: Any, var: str) -> None:
-        if st.has_covariate:
-            if not isinstance(table, tuple) or (strata is not None and len(table) != strata):
-                v.append(f"{name}: expected one pair per stratum")
-                return
-            for s, pair in enumerate(table):
-                _check_pair(v, name, var, pair, s)
-        else:
-            _check_pair(v, name, var, table, None)
+        if not per_stratum(table):
+            v.append(f"{name}: expected one pair per stratum")
+            return
+        for s, pair in enumerate(table):
+            _check_pair(v, name, var, pair, stratum(s))
 
     if st.has_mediator:
         if scenario.mediator is None:
@@ -225,7 +219,8 @@ def clamp_scenario(scenario: Scenario) -> Scenario:
 # Conditional tables are objects keyed by condition strings ("E=1" or
 # "E=1,S=0"), each value the probability of the indexed variable being 1.
 # The covariate prior is an array indexed by the S value.  A marginal
-# exposure (structures without S) is a bare number.
+# exposure (structures without S) is a bare number; in a Scenario it is the
+# 1-tuple of the single stratum.
 
 
 def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[int, ...]:
@@ -306,30 +301,28 @@ def scenario_from_dict(doc: Any) -> Scenario:
             raise ScenarioFormatError("covariate_prior: entries must be numbers")
         prior = tuple(float(w) for w in raw_prior)
         strata = len(prior)
+    # the S part of each stratum's condition key; S is not a key without a covariate
+    s_levels = {"S": strata} if structure.has_covariate else {}
+    s_keys = tuple((s,) for s in range(strata)) if structure.has_covariate else ((),)
 
-    def pairs_by_stratum(label: str, cond_var: str) -> tuple[Any, ...]:
-        if structure.has_covariate:
-            table = _table_from_json(doc.get(label), label, {cond_var: 2, "S": strata})
-            return tuple((table[(0, s)], table[(1, s)]) for s in range(strata))
-        table = _table_from_json(doc.get(label), label, {cond_var: 2})
-        return (table[(0,)], table[(1,)])
+    def pairs_by_stratum(label: str, cond_var: str) -> tuple[Pair, ...]:
+        table = _table_from_json(doc.get(label), label, {cond_var: 2, **s_levels})
+        return tuple((table[(0, *s)], table[(1, *s)]) for s in s_keys)
 
     mediator = pairs_by_stratum("mediator", "E") if structure.has_mediator else None
     response = pairs_by_stratum("response", "M" if structure.has_mediator else "E")
 
-    exposure: tuple[float, ...] | float | None
+    raw = doc.get("exposure")
+    exposure: tuple[float, ...] | None
     if structure.has_covariate:
-        raw = doc.get("exposure")
-        table = _table_from_json(raw, "exposure", {"S": strata})
-        exposure = tuple(table[(s,)] for s in range(strata))
+        table = _table_from_json(raw, "exposure", s_levels)
+        exposure = tuple(table[s] for s in s_keys)
+    elif raw is None:
+        exposure = None
+    elif _is_probability_like(raw):
+        exposure = (float(raw),)
     else:
-        raw = doc.get("exposure")
-        if raw is None:
-            exposure = None
-        elif _is_probability_like(raw):
-            exposure = float(raw)
-        else:
-            raise ScenarioFormatError("exposure: expected a bare number for this structure")
+        raise ScenarioFormatError("exposure: expected a bare number for this structure")
 
     return Scenario(
         structure=structure,
@@ -346,32 +339,30 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     doc: dict[str, Any] = {"structure": st.value}
     if st.has_covariate:
         doc["covariate_prior"] = list(scenario.covariate_prior or ())
-        doc["exposure"] = {
-            f"S={s}": scenario.exposure[s] for s in range(scenario.n_strata)  # type: ignore[index]
-        }
+        doc["exposure"] = {f"S={s}": p for s, p in enumerate(scenario.exposure)}  # type: ignore[arg-type]
     elif scenario.exposure is not None:
-        doc["exposure"] = scenario.exposure
+        doc["exposure"] = scenario.exposure[0]
+    suffixes = [f",S={s}" for s in range(scenario.n_strata)] if st.has_covariate else [""]
 
-    def table_doc(table: Any, var: str) -> dict[str, float]:
-        if st.has_covariate:
-            return {
-                f"{var}={v},S={s}": table[s][v]
-                for v in (0, 1)
-                for s in range(scenario.n_strata)
-            }
-        return {f"{var}={v}": table[v] for v in (0, 1)}
+    def table_doc(table: tuple[Pair, ...], var: str) -> dict[str, float]:
+        return {f"{var}={v}{suffix}": pair[v] for v in (0, 1) for suffix, pair in zip(suffixes, table)}
 
     if st.has_mediator:
-        doc["mediator"] = table_doc(scenario.mediator, "E")
+        doc["mediator"] = table_doc(scenario.mediator, "E")  # type: ignore[arg-type]
     doc["response"] = table_doc(scenario.response, "M" if st.has_mediator else "E")
     return doc
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read a scenario JSON file."""
+    """Read a scenario JSON file.
+
+    Bytes that are not UTF-8, integers past Python's digit limit and
+    nesting past the recursion limit are format errors like any other
+    malformed JSON (all but the last are ValueErrors).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ScenarioFormatError(f"not valid JSON: {exc}") from None
     return scenario_from_dict(doc)

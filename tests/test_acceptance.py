@@ -163,7 +163,7 @@ def test_criterion_7_risk_ratio_threshold(criterion):
             obs = derive_observables(scenario, AnalysisMode.FULL)
             interval = pc_bounds(obs)
             assert (interval.lower > 0.5) == (obs.risk_ratio > 2)
-        strong = Scenario(Structure.BASIC, response=(0.01, 0.334))
+        strong = Scenario(Structure.BASIC, response=((0.01, 0.334),))
         obs = derive_observables(strong, AnalysisMode.FULL)
         assert obs.risk_ratio >= 33.4
         assert pc_bounds(obs).lower >= 0.97

@@ -162,6 +162,20 @@ class TestRunAudit:
         )
         assert not report.headline_disagreement
 
+    def test_zero_exposure_gives_both_methods_one_error(self):
+        # P(E=1) = 0: the closed form and the oracle share the stratum weights
+        sc = Scenario(
+            Structure.COVARIATE,
+            response=((0.2, 0.8), (0.8, 0.2)),
+            exposure=(0.0, 0.0),
+            covariate_prior=(0.5, 0.5),
+        )
+        report = run_audit(sc, methods=(Method.CLOSED_FORM, Method.ORACLE))
+        closed = report.entry(AnalysisMode.FULL, Method.CLOSED_FORM)
+        oracle = report.entry(AnalysisMode.FULL, Method.ORACLE)
+        assert closed.interval is None and oracle.interval is None
+        assert closed.error == oracle.error == "P(E=1) = 0: nothing is conditionally defined given E=1"
+
     def test_structure_recorded(self, crossover_scenario):
         report = run_audit(crossover_scenario, methods=(Method.CLOSED_FORM,))
         assert report.structure is Structure.COVARIATE

@@ -32,7 +32,7 @@ class TestBasic:
         assert interval.mode is AnalysisMode.FULL
 
     def test_flat_risk_gives_vacuous_lower(self):
-        sc = Scenario(Structure.BASIC, response=(0.5, 0.5))
+        sc = Scenario(Structure.BASIC, response=((0.5, 0.5),))
         interval = bounds_for(sc)
         assert interval.lower == 0.0
         assert interval.upper == 1.0
@@ -48,14 +48,14 @@ class TestBasic:
         assert interval.upper == pytest.approx(float(Fraction(4719, 4879)), abs=APPROX)
 
     def test_infinite_risk_ratio_forces_lower_one(self):
-        sc = Scenario(Structure.BASIC, response=(0.0, 0.3))
+        sc = Scenario(Structure.BASIC, response=((0.0, 0.3),))
         interval = bounds_for(sc)
         assert interval.lower == 1.0
         assert interval.upper == 1.0
         assert any("risk ratio" in note for note in interval.notes)
 
     def test_zero_exposed_risk_is_undefined(self):
-        sc = Scenario(Structure.BASIC, response=(0.12, 0.0))
+        sc = Scenario(Structure.BASIC, response=((0.12, 0.0),))
         with pytest.raises(UndefinedPcError):
             bounds_for(sc)
 
@@ -78,8 +78,8 @@ class TestMediator:
 
     def test_deterministic_mediator_collapses_to_basic(self):
         # M a copy of E: a=b=1, so the numerator reduces to P(R=0|E=0)
-        copycat = Scenario(Structure.MEDIATOR, response=(0.12, 0.3), mediator=(0.0, 1.0))
-        plain = Scenario(Structure.BASIC, response=(0.12, 0.3))
+        copycat = Scenario(Structure.MEDIATOR, response=((0.12, 0.3),), mediator=((0.0, 1.0),))
+        plain = Scenario(Structure.BASIC, response=((0.12, 0.3),))
         got = bounds_for(copycat)
         want = bounds_for(plain)
         assert got.lower == pytest.approx(want.lower, abs=APPROX)
@@ -87,7 +87,7 @@ class TestMediator:
 
     def test_tie_between_branch_expressions(self):
         # a=b and c=d: adjacent cells of the four-branch numerator coincide
-        sc = Scenario(Structure.MEDIATOR, response=(0.4, 0.6), mediator=(0.5, 0.5))
+        sc = Scenario(Structure.MEDIATOR, response=((0.4, 0.6),), mediator=((0.5, 0.5),))
         obs = derive_observables(sc, AnalysisMode.FULL)
         [(a, b, c, d)] = obs.stratum_mediator_summary
         assert a == b and c == d
@@ -126,7 +126,7 @@ class TestCovariate:
             exposure=(0.5, 0.5),
             covariate_prior=(1.0, 0.0),
         )
-        plain = Scenario(Structure.BASIC, response=(0.12, 0.3))
+        plain = Scenario(Structure.BASIC, response=((0.12, 0.3),))
         got = bounds_for(stratified)
         want = bounds_for(plain)
         assert got.lower == pytest.approx(want.lower, abs=APPROX)
@@ -159,7 +159,7 @@ class TestMediatorCovariate:
             exposure=(0.5, 0.5),
             covariate_prior=(1.0, 0.0),
         )
-        plain = Scenario(Structure.MEDIATOR, response=(0.9, 0.1), mediator=(0.975, 0.75))
+        plain = Scenario(Structure.MEDIATOR, response=((0.9, 0.1),), mediator=((0.975, 0.75),))
         got = bounds_for(stratified)
         want = bounds_for(plain)
         assert got.lower == pytest.approx(want.lower, abs=APPROX)
@@ -187,18 +187,18 @@ class TestMediatorCovariate:
 
 class TestScaleFree:
     def test_exposure_marginal_does_not_move_basic_bounds(self, trial_scenario):
-        shifted = trial_scenario._replace(exposure=0.9)
+        shifted = trial_scenario._replace(exposure=(0.9,))
         assert bounds_for(shifted) == bounds_for(trial_scenario)
 
     def test_exposure_marginal_does_not_move_mediator_bounds(self, mediation_scenario):
-        shifted = mediation_scenario._replace(exposure=0.25)
+        shifted = mediation_scenario._replace(exposure=(0.25,))
         assert bounds_for(shifted) == bounds_for(mediation_scenario)
 
 
 class TestRiskRatioThreshold:
     def test_lower_exceeds_half_iff_rr_exceeds_two(self):
         for r0, r1 in ((0.1, 0.21), (0.1, 0.2), (0.1, 0.19), (0.3, 0.9), (0.4, 0.5)):
-            interval = bounds_for(Scenario(Structure.BASIC, response=(r0, r1)))
+            interval = bounds_for(Scenario(Structure.BASIC, response=((r0, r1),)))
             assert (interval.lower > 0.5) == (r1 / r0 > 2)
 
 

@@ -1,11 +1,14 @@
 """End-to-end command behavior, exit codes, and output determinism."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from causabound import applicable_modes, derive_observables, scenario_from_dict
+from causabound import AnalysisMode, Structure, applicable_modes, derive_observables, scenario_from_dict
 from causabound import demo as demo_module
 from causabound.checks import TOLERANCE
 from causabound.cli import (
@@ -52,6 +55,42 @@ SUBNORMAL_DENOMINATOR = {
     "mediator": {"E=0": 0.6418946885374921, "E=1": 1e-300},
     "response": {"M=0": 5e-324, "M=1": 1e-300},
 }
+
+
+# outside input a JSON or CSV parser rejects before any scenario exists
+MALFORMED_INPUTS = {
+    "not_utf8.json": b'{"structure": "basic", "response": {"E=0": 0.12, "E=1": 0.\xff}}',
+    "not_utf8.csv": b"E,R,count\n0,0,\xff\n",
+    "long_integer.json": b'{"structure": "basic", "response": {"E=0": ' + b"1" * 5000 + b', "E=1": 0.3}}',
+    "deeply_nested.json": b"[" * 200_000 + b"]" * 200_000,
+    "long_field.csv": b"E,R,count\n0,0," + b"1" * 140_000 + b"\n",
+}
+
+# exact ends, signed zero, subnormals, and overshoot inside the 1e-9 tolerance
+EDGE_VALUES = (0.0, 1.0, -0.0, 1e-300, 5e-324, -5e-10, 1.0 + 5e-10, 1e-9, 1.0 - 1e-9)
+edge_entries = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def edge_scenario_docs(draw):
+    """Scenario JSON of any structure, K = 1 to 4, with table entries from the edge region."""
+    structure = draw(st.sampled_from(list(Structure)))
+    doc = {"structure": structure.value}
+    suffixes = [""]
+    if structure.has_covariate:
+        k = draw(st.integers(min_value=2, max_value=4))
+        suffixes = [f",S={s}" for s in range(k)]
+        raw = draw(st.lists(st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.05, 1.0), min_size=k, max_size=k))
+        assume(sum(raw) > 0.0)
+        doc["covariate_prior"] = [w / sum(raw) for w in raw]
+        doc["exposure"] = {f"S={s}": draw(edge_entries) for s in range(k)}
+    elif draw(st.booleans()):
+        doc["exposure"] = draw(edge_entries)
+    if structure.has_mediator:
+        doc["mediator"] = {f"E={e}{suffix}": draw(edge_entries) for e in (0, 1) for suffix in suffixes}
+    cause = "M" if structure.has_mediator else "E"
+    doc["response"] = {f"{cause}={v}{suffix}": draw(edge_entries) for v in (0, 1) for suffix in suffixes}
+    return doc
 
 
 def run(capsys, *argv):
@@ -108,6 +147,16 @@ class TestBound:
         assert code == EXIT_INPUT_ERROR
         assert not out
         assert "causabound:" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+    def test_malformed_input_is_an_input_error(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(MALFORMED_INPUTS[name])
+        code, out, err = run(capsys, "audit", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("causabound: ") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bound", "no_such_file.json")
@@ -254,6 +303,35 @@ class TestAudit:
             assert not any(re.search(r"-\d", note) for note in observed.notes), observed.notes
             if observed.marginal_p_r1_given_e1 is not None:
                 assert observed.marginal_p_r1_given_e1 >= 0.0
+
+
+class TestEdgeRegionFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=edge_scenario_docs())
+    def test_audit_both_methods_on_edge_inputs(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "edge.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["audit", str(path), "--method", "both"])
+        assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_UNDEFINED), err.getvalue()
+        if code != EXIT_OK:
+            return
+        report = json.loads(out.getvalue())
+        scenario = scenario_from_dict(report["input"]["scenario"])
+        entries = report["audit"]["entries"]
+        for closed, oracle in zip(entries[0::2], entries[1::2]):
+            assert (closed["method"], oracle["method"]) == ("closed", "oracle")
+            assert closed["mode"] == oracle["mode"]
+            assert closed["error"] == oracle["error"]
+            if closed["error"] is not None:
+                continue
+            for entry in (closed, oracle):
+                assert 0.0 <= entry["lower"] <= entry["upper"] <= 1.0
+            denominator = derive_observables(scenario, AnalysisMode(closed["mode"])).p_r1_given_e1
+            if denominator >= 1e-3:
+                assert abs(closed["lower"] - oracle["lower"]) <= TOLERANCE
+                assert abs(closed["upper"] - oracle["upper"]) <= TOLERANCE
 
 
 class TestEstimate:

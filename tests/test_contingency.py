@@ -88,8 +88,8 @@ class TestStructureForVariables:
 class TestEstimation:
     def test_trial_rates_are_exact(self, trial_scenario):
         assert trial_scenario.structure is Structure.BASIC
-        assert trial_scenario.response == (0.12, 0.3)
-        assert trial_scenario.exposure == 0.5
+        assert trial_scenario.response == ((0.12, 0.3),)
+        assert trial_scenario.exposure == (0.5,)
 
     def test_doubling_counts_gives_identical_scenario(self, trial_counts):
         doubled = ContingencyTable.from_cells(
@@ -129,8 +129,8 @@ class TestEstimation:
             },
         )
         est = estimate_from_counts(table, Structure.MEDIATOR)
-        assert est.response == (12 / 48, 69 / 92)
-        assert est.mediator == (20 / 60, 72 / 80)
+        assert est.response == ((12 / 48, 69 / 92),)
+        assert est.mediator == ((20 / 60, 72 / 80),)
 
     def test_empty_mediator_cell(self):
         table = ContingencyTable.from_cells(

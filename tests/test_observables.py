@@ -126,7 +126,7 @@ class TestReduceScenario:
     def test_ignore_both_yields_basic(self, confounded_scenario):
         red = reduce_scenario(confounded_scenario, AnalysisMode.IGNORE_BOTH)
         assert red.structure is Structure.BASIC
-        assert red.response == pytest.approx((0.4245121951219512, 0.595), abs=APPROX)
+        assert red.response[0] == pytest.approx((0.4245121951219512, 0.595), abs=APPROX)
 
     def test_ignore_mediator_yields_covariate_chain_rows(self, confounded_scenario):
         red = reduce_scenario(confounded_scenario, AnalysisMode.IGNORE_MEDIATOR)
@@ -220,12 +220,12 @@ class TestUndefinedConditionals:
 
 class TestRiskRatio:
     def test_infinite_when_unexposed_risk_is_zero(self):
-        sc = Scenario(Structure.BASIC, response=(0.0, 0.3))
+        sc = Scenario(Structure.BASIC, response=((0.0, 0.3),))
         obs = derive_observables(sc, AnalysisMode.FULL)
         assert obs.risk_ratio == float("inf")
         assert any("infinite" in note or "0" in note for note in obs.notes)
 
     def test_undefined_when_both_risks_are_zero(self):
-        sc = Scenario(Structure.BASIC, response=(0.0, 0.0))
+        sc = Scenario(Structure.BASIC, response=((0.0, 0.0),))
         obs = derive_observables(sc, AnalysisMode.FULL)
         assert obs.risk_ratio is None

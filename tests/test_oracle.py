@@ -109,7 +109,7 @@ class TestCertificates:
     def test_ties_resolve_to_the_first_corner_visited(self):
         # all-0.5 scenario: three corners share the minimum; the mediator
         # coordinate varies outermost, so (q_m=0, q_r=0.5) is hit first
-        sc = Scenario(Structure.MEDIATOR, response=(0.5, 0.5), mediator=(0.5, 0.5))
+        sc = Scenario(Structure.MEDIATOR, response=((0.5, 0.5),), mediator=((0.5, 0.5),))
         cert = oracle_bounds(sc)
         assert cert.argmin == ((0.0, 0.5),)
         assert cert.argmax == ((0.0, 0.0),)
@@ -125,7 +125,7 @@ class TestCertificates:
 
     def test_degenerate_exposed_risk_is_undefined(self):
         with pytest.raises(UndefinedPcError):
-            oracle_bounds(Scenario(Structure.BASIC, response=(0.12, 0.0)))
+            oracle_bounds(Scenario(Structure.BASIC, response=((0.12, 0.0),)))
 
 
 class TestGridScan:

@@ -34,7 +34,7 @@ from causabound import (
 from causabound.bounds import finish_interval
 
 # the corner maximum of this scenario is 1 + 1 ulp before the clamp
-OVERSHOOTING_MEDIATOR = Scenario(Structure.MEDIATOR, response=(0.2, 0.5), mediator=(0.2, 0.8))
+OVERSHOOTING_MEDIATOR = Scenario(Structure.MEDIATOR, response=((0.2, 0.5),), mediator=((0.2, 0.8),))
 
 probs = st.floats(min_value=0.001, max_value=0.999)
 pairs = st.tuples(probs, probs)
@@ -42,16 +42,16 @@ pairs = st.tuples(probs, probs)
 
 @st.composite
 def basic_scenarios(draw):
-    return Scenario(Structure.BASIC, response=draw(pairs), exposure=draw(probs))
+    return Scenario(Structure.BASIC, response=(draw(pairs),), exposure=(draw(probs),))
 
 
 @st.composite
 def mediator_scenarios(draw):
     return Scenario(
         Structure.MEDIATOR,
-        response=draw(pairs),
-        mediator=draw(pairs),
-        exposure=draw(probs),
+        response=(draw(pairs),),
+        mediator=(draw(pairs),),
+        exposure=(draw(probs),),
     )
 
 
@@ -226,9 +226,9 @@ def _scanned_estimate(table, structure):
 
     cause = "M" if structure.has_mediator else "E"
     if not structure.has_covariate:
-        exposure = table.count_where(E=1) / table.total
-        mediator = (ratio("M", E=0), ratio("M", E=1)) if structure.has_mediator else None
-        response = (ratio("R", **{cause: 0}), ratio("R", **{cause: 1}))
+        exposure = (table.count_where(E=1) / table.total,)
+        mediator = ((ratio("M", E=0), ratio("M", E=1)),) if structure.has_mediator else None
+        response = ((ratio("R", **{cause: 0}), ratio("R", **{cause: 1})),)
         return Scenario(structure, response, mediator, exposure)
     strata = range(table.s_levels)
     prior = tuple(table.count_where(S=s) / table.total for s in strata)

@@ -59,7 +59,7 @@ class TestValidation:
             assert validate_scenario(sc) == ()
 
     def test_out_of_range_probability_is_located(self):
-        bad = Scenario(Structure.MEDIATOR, response=(0.9, 0.1), mediator=(0.975, 1.3))
+        bad = Scenario(Structure.MEDIATOR, response=((0.9, 0.1),), mediator=((0.975, 1.3),))
         violations = validate_scenario(bad)
         assert len(violations) == 1
         assert "mediator[E=1]" in violations[0]
@@ -87,11 +87,11 @@ class TestValidation:
         assert any("response[M=1,S=1]" in v for v in violations)
 
     def test_tolerance_accepts_tiny_overshoot(self):
-        sc = Scenario(Structure.BASIC, response=(1.0 + 5e-10, 0.12))
+        sc = Scenario(Structure.BASIC, response=((1.0 + 5e-10, 0.12),))
         assert validate_scenario(sc) == ()
 
     def test_tolerance_rejects_larger_overshoot(self):
-        sc = Scenario(Structure.BASIC, response=(1.0 + 2e-9, 0.12))
+        sc = Scenario(Structure.BASIC, response=((1.0 + 2e-9, 0.12),))
         assert validate_scenario(sc) != ()
 
     def test_prior_sum_tolerance(self):
@@ -104,8 +104,11 @@ class TestValidation:
         assert validate_scenario(ok) == ()
 
     def test_missing_mediator_table(self):
-        sc = Scenario(Structure.MEDIATOR, response=(0.9, 0.1))
+        sc = Scenario(Structure.MEDIATOR, response=((0.9, 0.1),))
         assert any("mediator" in v for v in validate_scenario(sc))
+        # a K = 1 table is one stratum of pairs, not the bare pair
+        bare = Scenario(Structure.BASIC, response=(0.12, 0.3))
+        assert validate_scenario(bare) == ("response: expected one pair per stratum",)
 
     def test_values_are_never_renormalized(self):
         sc = Scenario(
@@ -160,7 +163,7 @@ class TestJsonRoundTrip:
     def test_marginal_exposure_round_trips_as_number(self, trial_scenario):
         d = scenario_to_dict(trial_scenario)
         assert d["exposure"] == 0.5
-        assert scenario_from_dict(d).exposure == 0.5
+        assert scenario_from_dict(d).exposure == (0.5,)
 
 
 class TestFormatErrors:
