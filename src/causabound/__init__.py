@@ -14,7 +14,7 @@ from .audit import (
     Relation,
     applicable_modes,
     classify_relation,
-    compute_interval,
+    compute_intervals,
     run_audit,
     scenario_digest,
 )
@@ -83,7 +83,7 @@ __all__ = [
     "applicable_modes",
     "chain_response",
     "classify_relation",
-    "compute_interval",
+    "compute_intervals",
     "demo_document",
     "derive_observables",
     "digest_bytes",

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .bounds import Method, PcInterval, pc_bounds
 from .errors import UndefinedConditionalError
-from .observables import derive_observables, reduce_scenario
+from .observables import observe, reduce_scenario
 from .oracle import oracle_bounds
 from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
 
@@ -66,7 +66,6 @@ class AuditEntry(NamedTuple):
 
 
 class AuditReport(NamedTuple):
-    scenario_digest: str
     structure: Structure
     methods: tuple[Method, ...]
     entries: tuple[AuditEntry, ...]
@@ -94,42 +93,45 @@ class AuditReport(NamedTuple):
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """Stable content digest of the canonical JSON form."""
+    """Stable content digest of the canonical JSON form; reports digest the input bytes instead."""
     canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def compute_interval(scenario: Scenario, mode: AnalysisMode, method: Method) -> PcInterval:
-    """The PC interval of `scenario` analysed under `mode`, by `method`.
+def compute_intervals(
+    scenario: Scenario, mode: AnalysisMode, methods: tuple[Method, ...]
+) -> tuple[PcInterval, ...]:
+    """The PC interval of `scenario` analysed under `mode`, once per method in `methods`.
 
-    The closed form reads the mode's observables; the oracle searches the
-    boxes of the reduced scenario.
+    The scenario is reduced once: the closed form reads the observables of
+    the reduced scenario, the oracle searches its boxes.
     """
-    if method is Method.CLOSED_FORM:
-        return pc_bounds(derive_observables(scenario, mode))
-    return oracle_bounds(reduce_scenario(scenario, mode), mode).interval
-
-
-def _compute_entry(scenario: Scenario, mode: AnalysisMode, method: Method) -> AuditEntry:
-    try:
-        return AuditEntry(mode, method, compute_interval(scenario, mode, method))
-    except UndefinedConditionalError as exc:
-        return AuditEntry(mode, method, None, str(exc))
+    reduced = reduce_scenario(scenario, mode)
+    return tuple(
+        pc_bounds(observe(scenario, reduced, mode))
+        if method is Method.CLOSED_FORM
+        else oracle_bounds(reduced, mode).interval
+        for method in methods
+    )
 
 
 def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_FORM,)) -> AuditReport:
     """Audit every applicable mode with the requested methods.
 
-    Per-cell failures (an undefined conditional under some collapse) are
-    recorded in place, never abort the rest of the audit, and simply drop
-    out of the relation matrix as None rows.
+    A mode whose conditionals are undefined under its collapse records the
+    error in every method's cell (both methods read the same stratum weights
+    and denominator, so they fail together), never aborts the rest of the
+    audit, and drops out of the relation matrix as None rows.
     """
-    entries = tuple(
-        _compute_entry(scenario, mode, method)
-        for mode in applicable_modes(scenario.structure)
-        for method in methods
-    )
-    n = len(entries)
+    entries: list[AuditEntry] = []
+    for mode in applicable_modes(scenario.structure):
+        try:
+            intervals = compute_intervals(scenario, mode, methods)
+        except UndefinedConditionalError as exc:
+            entries.extend(AuditEntry(mode, method, None, str(exc)) for method in methods)
+        else:
+            entries.extend(AuditEntry(mode, method, iv) for method, iv in zip(methods, intervals))
+    n, k = len(entries), len(methods)
     relations = tuple(
         tuple(
             classify_relation(entries[i].interval, entries[j].interval)
@@ -139,22 +141,7 @@ def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_F
         )
         for i in range(n)
     )
-    headline = False
-    for method in methods:
-        full = next(
-            (e for e in entries if e.mode is AnalysisMode.FULL and e.method is method), None
-        )
-        if full is None or full.interval is None:
-            continue
-        for e in entries:
-            if e.method is method and e.mode is not AnalysisMode.FULL and e.interval is not None:
-                if classify_relation(full.interval, e.interval) is Relation.DISJOINT:
-                    headline = True
-    return AuditReport(
-        scenario_digest(scenario),
-        scenario.structure,
-        tuple(methods),
-        entries,
-        relations,
-        headline,
-    )
+    # the first k entries are full information, one per method; entry i's
+    # method recurs every k entries
+    headline = any(relations[i][j] is Relation.DISJOINT for i in range(k) for j in range(i, n, k))
+    return AuditReport(scenario.structure, tuple(methods), tuple(entries), relations, headline)

@@ -14,7 +14,7 @@ import json
 import random
 from typing import NamedTuple
 
-from .audit import compute_interval
+from .audit import compute_intervals
 from .bounds import Method
 from .randomgen import MIN_MASS, random_scenario
 from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
@@ -68,8 +68,7 @@ def equivalence_sweep(
         worst_endpoint = ""
         for _ in range(trials):
             scenario = random_scenario(rng, structure)
-            closed = compute_interval(scenario, AnalysisMode.FULL, Method.CLOSED_FORM)
-            exact = compute_interval(scenario, AnalysisMode.FULL, Method.ORACLE)
+            closed, exact = compute_intervals(scenario, AnalysisMode.FULL, (Method.CLOSED_FORM, Method.ORACLE))
             for endpoint, gap in (
                 ("lower", abs(closed.lower - exact.lower)),
                 ("upper", abs(closed.upper - exact.upper)),

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .audit import compute_interval, run_audit
+from .audit import compute_intervals, run_audit
 from .bounds import Method
 from .checks import DEFAULT_SEED, DEFAULT_TRIALS, equivalence_sweep, render_sweep_report
 from .contingency import estimate_from_counts, read_counts_csv, structure_for_variables
@@ -104,8 +104,7 @@ def _emit(doc: dict, output: str) -> None:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     scenario, digest = _load_input(args.input)
-    mode = AnalysisMode(args.mode)
-    intervals = tuple(compute_interval(scenario, mode, method) for method in _methods(args.method))
+    intervals = compute_intervals(scenario, AnalysisMode(args.mode), _methods(args.method))
     _emit(report_document(scenario, digest, intervals), args.output)
     return EXIT_OK
 

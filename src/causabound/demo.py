@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._version import __version__
-from .audit import applicable_modes, compute_interval
+from .audit import applicable_modes, compute_intervals
 from .bounds import Method
 from .contingency import ContingencyTable, estimate_from_counts
-from .report import display, full_precision
+from .report import interval_payload
 from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
 
 
@@ -111,17 +111,10 @@ def demo_document(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[dict,
         rows = []
         for mode in applicable_modes(case.scenario.structure):
             expected = expected_by_mode.get(mode)
-            for method in (Method.CLOSED_FORM, Method.ORACLE):
-                interval = compute_interval(case.scenario, mode, method)
-                got = (display(interval.lower), display(interval.upper))
-                row = {
-                    "mode": mode.value,
-                    "method": method.value,
-                    "lower": full_precision(interval.lower),
-                    "upper": full_precision(interval.upper),
-                    "lower_display": got[0],
-                    "upper_display": got[1],
-                }
+            for interval in compute_intervals(case.scenario, mode, (Method.CLOSED_FORM, Method.ORACLE)):
+                row = interval_payload(interval)
+                del row["notes"]
+                got = (row["lower_display"], row["upper_display"])
                 if expected is not None:
                     checked += 1
                     row["expected_display"] = [expected[0], expected[1]]

@@ -10,14 +10,15 @@ Chain marginals.  Mediator structures have no direct E -> R edge, so
 (per stratum when S is present).  For a genuine mediator scenario this IS
 the marginal; for a collapsed view of a richer scenario it is the value a
 mediator-only analyst would reconstruct, which need not match the joint
-law.  Both are carried so reports can label which one a formula consumed.
+law.  A note names both values where they differ.
 
 Covariate weights.  Stratum weights are posteriors by Bayes' rule,
     P(S=s|E=e) = P(S=s) P(E=e|S=s) / P(E=e),
 with P(E=e) = sum_s P(S=s) P(E=e|S=s).  A zero P(E=e) makes the weights,
-and everything conditioned on E=e, undefined.  Without S the one stratum
-has weight 1.  `stratum_posterior` is the only place these weights are
-computed; the oracle reads them from it too.
+and everything conditioned on E=e, undefined; so does a subnormal one,
+whose products have underflowed.  Without S the one stratum has weight 1.
+`stratum_posterior` is the only place these weights are computed; the
+oracle reads them from it too.
 
 Collapses.  Ignoring a variable means marginalizing it out of the tables
 the analyst keeps: dropping S mixes strata with the posterior weights
@@ -30,6 +31,7 @@ so every analysis mode reuses the same downstream derivations.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .errors import InapplicableModeError, UndefinedConditionalError
@@ -58,8 +60,8 @@ class ObservableSet(NamedTuple):
     the per-stratum mediator quadruples, present exactly when a mediator is.
     `p_r1_given_e1` and `p_r1_given_e0` are the values the formulas
     consume: chain marginals whenever a mediator is in play.  When those
-    differ from the joint-law marginals of the original scenario, the true
-    values are kept in `marginal_p_r1_given_e*` and a note says so.
+    differ from the joint-law marginals of the original scenario, a note
+    names both.
 
     `risk_ratio` is +inf when P(R=1|E=0) = 0 < P(R=1|E=1), and None when
     it is not defined at all (0/0, or an unavailable marginal).
@@ -73,8 +75,6 @@ class ObservableSet(NamedTuple):
     stratum_weights: tuple[float, ...]
     stratum_response: tuple[Pair, ...]
     stratum_mediator_summary: tuple[Quad, ...] | None = None
-    marginal_p_r1_given_e1: float | None = None
-    marginal_p_r1_given_e0: float | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -96,17 +96,24 @@ def _exposure_marginal(scenario: Scenario) -> float:
     )
 
 
+def _usable(p: float, event: str, consequence: str) -> float:
+    """Return a Bayes denominator as is; raise below the floor of `bounds.require_denominator`."""
+    if p <= 0.0:
+        raise UndefinedConditionalError(f"{event} = 0: {consequence}")
+    if p < sys.float_info.min:
+        raise UndefinedConditionalError(f"{event} = {p!r} is subnormal: rounding swamps the weights, so {consequence}")
+    return p
+
+
 def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
-    """P(S=s|E=e) by Bayes' rule, (1.0,) when S is absent; raises when P(E=e) = 0.
+    """P(S=s|E=e) by Bayes' rule, (1.0,) when S is absent; raises when P(E=e) is 0 or subnormal.
 
     Both the closed form and the oracle weigh their strata with this.
     """
     if not scenario.structure.has_covariate:
         return (1.0,)
     p_e1 = _exposure_marginal(scenario)
-    p_e = p_e1 if e == 1 else 1.0 - p_e1
-    if p_e <= 0.0:
-        raise UndefinedConditionalError(f"P(E={e}) = 0: nothing is conditionally defined given E={e}")
+    p_e = _usable(p_e1 if e == 1 else 1.0 - p_e1, f"P(E={e})", f"nothing is conditionally defined given E={e}")
     out = []
     for s in range(scenario.n_strata):
         expo = scenario.exposure[s]  # type: ignore[index]
@@ -124,9 +131,7 @@ def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
         if m == 0:
             p_m_given_s = 1.0 - p_m_given_s
         joint.append(prior * p_m_given_s)
-    p_m = sum(joint)
-    if p_m <= 0.0:
-        raise UndefinedConditionalError(f"P(M={m}) = 0: the collapsed response table P(R=1|M={m}) is undefined")
+    p_m = _usable(sum(joint), f"P(M={m})", f"the collapsed response table P(R=1|M={m}) is undefined")
     return tuple(j / p_m for j in joint)
 
 
@@ -227,61 +232,44 @@ def _quad(mediator: Pair, response: Pair) -> Quad:
     return (1.0 - mediator[0], mediator[1], 1.0 - response[0], response[1])
 
 
-def _observe_reduced(scenario: Scenario, mode: AnalysisMode) -> ObservableSet:
-    st = scenario.structure
-    weights = stratum_posterior(scenario, 1)
+def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> ObservableSet:
+    """Summarize what the formulas consume from `reduced`, which is `reduce_scenario(scenario, mode)`.
+
+    When a mediator-form view of a collapsed scenario reconstructs marginals
+    through the chain that differ from the joint law of `scenario` (they
+    can, once a covariate has been mixed away), a note names both values.
+    """
+    st = reduced.structure
+    weights = stratum_posterior(reduced, 1)
     notes: tuple[str, ...] = ()
-    rows0, rows1 = _response_rows(scenario, 0), _response_rows(scenario, 1)
+    rows0, rows1 = _response_rows(reduced, 0), _response_rows(reduced, 1)
     quads = None
     if st.has_mediator:
-        quads = tuple(map(_quad, scenario.mediator, scenario.response))  # type: ignore[arg-type]
+        quads = tuple(map(_quad, reduced.mediator, reduced.response))  # type: ignore[arg-type]
         where = "per-stratum P(R=1|E=e,S=s)" if st.has_covariate else "P(R=1|E=e)"
         notes += (f"{where} is the chain marginal through M",)
     p1 = _mix(weights, rows1)
     try:
-        p0 = _mix(stratum_posterior(scenario, 0), rows0)
+        p0 = _mix(stratum_posterior(reduced, 0), rows0)
     except UndefinedConditionalError:
         p0 = None
         notes += ("P(E=0) = 0: marginal P(R=1|E=0) unavailable",)
     rr, rr_notes = _risk_ratio(p1, p0)
-    stratum_response = tuple(zip(rows0, rows1))
-    return ObservableSet(st, mode, p1, p0, rr, weights, stratum_response, quads, notes=notes + rr_notes)
+    notes += rr_notes
+    if mode is not AnalysisMode.FULL and st is Structure.MEDIATOR:
+        # only ignore-covariate on mediator_covariate lands here: p0 is set, as
+        # the reduced view has no covariate, and the collapse has already
+        # required P(E=0) and P(E=1) of `scenario` to be usable
+        truth1 = _probability(true_marginal_response(scenario, 1))
+        truth0 = _probability(true_marginal_response(scenario, 0))
+        if abs(p1 - truth1) > 1e-12 or abs(p0 - truth0) > 1e-12:  # type: ignore[operator]
+            notes += (
+                "chain-reconstructed marginals (consumed by the formulas) differ from the joint law: "
+                f"P(R=1|E=1) {p1:.12g} vs {truth1:.12g}, P(R=1|E=0) {p0:.12g} vs {truth0:.12g}",
+            )
+    return ObservableSet(st, mode, p1, p0, rr, weights, tuple(zip(rows0, rows1)), quads, notes)
 
 
 def derive_observables(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) -> ObservableSet:
-    """Reduce per `mode`, then summarize what the formulas will consume.
-
-    When the collapsed view's chain marginals differ from the original
-    joint law (they can, once a covariate has been mixed away), the true
-    marginals ride along with a note naming both values.
-    """
-    reduced = reduce_scenario(scenario, mode)
-    observed = _observe_reduced(reduced, mode)
-    if mode is AnalysisMode.FULL or reduced.structure is not Structure.MEDIATOR:
-        return observed
-    # a mediator-form analysis of a collapsed scenario reconstructs marginals
-    # through the chain; compare against the joint law of what was dropped
-    truth1 = _probability(true_marginal_response(scenario, 1))
-    try:
-        truth0 = _probability(true_marginal_response(scenario, 0))
-    except UndefinedConditionalError:
-        truth0 = None
-    if _differs(observed.p_r1_given_e1, truth1) or _differs(observed.p_r1_given_e0, truth0):
-        note = (
-            "chain-reconstructed marginals (consumed by the formulas) differ from the joint law: "
-            f"P(R=1|E=1) {observed.p_r1_given_e1:.12g} vs {truth1:.12g}"
-        )
-        if observed.p_r1_given_e0 is not None and truth0 is not None:
-            note += f", P(R=1|E=0) {observed.p_r1_given_e0:.12g} vs {truth0:.12g}"
-        return observed._replace(
-            marginal_p_r1_given_e1=truth1,
-            marginal_p_r1_given_e0=truth0,
-            notes=observed.notes + (note,),
-        )
-    return observed
-
-
-def _differs(reconstructed: float | None, truth: float | None, tolerance: float = 1e-12) -> bool:
-    if reconstructed is None or truth is None:
-        return (reconstructed is None) != (truth is None)
-    return abs(reconstructed - truth) > tolerance
+    """Reduce per `mode`, then summarize what the formulas will consume."""
+    return observe(scenario, reduce_scenario(scenario, mode), mode)

@@ -353,16 +353,27 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return doc
 
 
+def _unique_names(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict; a name given twice is a format error, not last-wins."""
+    obj: dict[str, Any] = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ScenarioFormatError(f"name {name!r} repeated in one object")
+        obj[name] = value
+    return obj
+
+
 def load_scenario(path: str) -> Scenario:
     """Read a scenario JSON file.
 
-    Bytes that are not UTF-8, integers past Python's digit limit and
-    nesting past the recursion limit are format errors like any other
-    malformed JSON (all but the last are ValueErrors).
+    Bytes that are not UTF-8, integers past Python's digit limit, a name
+    repeated within one object and nesting past the recursion limit are
+    format errors like any other malformed JSON (all but the last are
+    ValueErrors).
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_names)
         except (ValueError, RecursionError) as exc:
             raise ScenarioFormatError(f"not valid JSON: {exc}") from None
     return scenario_from_dict(doc)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from causabound import audit as audit_module
+from causabound import observables as observables_module
 from causabound import (
     AnalysisMode,
     Method,
@@ -14,6 +16,8 @@ from causabound import (
     run_audit,
     scenario_digest,
 )
+from causabound.cli import EXIT_OK, main
+from conftest import DATA
 
 
 def interval(lower, upper):
@@ -176,6 +180,22 @@ class TestRunAudit:
         assert closed.interval is None and oracle.interval is None
         assert closed.error == oracle.error == "P(E=1) = 0: nothing is conditionally defined given E=1"
 
+    def test_each_mode_is_reduced_once(self, confounded_scenario, monkeypatch):
+        reductions = []
+        reduce_scenario = observables_module.reduce_scenario
+
+        def counting(scenario, mode):
+            reductions.append(mode)
+            return reduce_scenario(scenario, mode)
+
+        monkeypatch.setattr(observables_module, "reduce_scenario", counting)
+        monkeypatch.setattr(audit_module, "reduce_scenario", counting)
+        run_audit(confounded_scenario, methods=(Method.CLOSED_FORM, Method.ORACLE))
+        assert reductions == list(applicable_modes(Structure.MEDIATOR_COVARIATE))
+        reductions.clear()
+        assert main(["bound", str(DATA / "mediated_confounding.json"), "--method", "both"]) == EXIT_OK
+        assert reductions == [AnalysisMode.FULL]
+
     def test_structure_recorded(self, crossover_scenario):
         report = run_audit(crossover_scenario, methods=(Method.CLOSED_FORM,))
         assert report.structure is Structure.COVARIATE
@@ -193,7 +213,3 @@ class TestScenarioDigest:
 
     def test_differs_for_different_scenarios(self, crossover_scenario, trial_scenario):
         assert scenario_digest(crossover_scenario) != scenario_digest(trial_scenario)
-
-    def test_recorded_in_report(self, trial_scenario):
-        report = run_audit(trial_scenario, methods=(Method.CLOSED_FORM,))
-        assert report.scenario_digest == scenario_digest(trial_scenario)

@@ -56,6 +56,15 @@ SUBNORMAL_DENOMINATOR = {
     "response": {"M=0": 5e-324, "M=1": 1e-300},
 }
 
+# P(S=s) P(E=1|S=s) underflows: P(E=1) = 5e-324, and the weights read (1, 0)
+# instead of (0.79, 0.21)
+SUBNORMAL_EXPOSURE = {
+    "structure": "covariate",
+    "covariate_prior": [0.7889419955057178, 0.21105800449428225],
+    "exposure": {"S=0": 5e-324, "S=1": 5e-324},
+    "response": {"E=0,S=0": 0.5, "E=0,S=1": 0.1, "E=1,S=0": 0.4, "E=1,S=1": 0.6},
+}
+
 
 # outside input a JSON or CSV parser rejects before any scenario exists
 MALFORMED_INPUTS = {
@@ -64,6 +73,7 @@ MALFORMED_INPUTS = {
     "long_integer.json": b'{"structure": "basic", "response": {"E=0": ' + b"1" * 5000 + b', "E=1": 0.3}}',
     "deeply_nested.json": b"[" * 200_000 + b"]" * 200_000,
     "long_field.csv": b"E,R,count\n0,0," + b"1" * 140_000 + b"\n",
+    "repeated_key.json": b'{"structure": "basic", "response": {"E=0": 0.9, "E=0": 0.12, "E=1": 0.3}}',
 }
 
 # exact ends, signed zero, subnormals, and overshoot inside the 1e-9 tolerance
@@ -236,6 +246,15 @@ class TestBound:
         assert "Traceback" not in err
         assert "subnormal" in err
 
+    def test_subnormal_exposure_is_undefined(self, capsys, tmp_path):
+        path = tmp_path / "subnormal_exposure.json"
+        path.write_text(json.dumps(SUBNORMAL_EXPOSURE))
+        code, out, err = run(capsys, "bound", str(path), "--method", "both")
+        assert code == EXIT_UNDEFINED
+        assert out == ""
+        assert "Traceback" not in err
+        assert "P(E=1) = 5e-324 is subnormal" in err
+
     def test_inapplicable_mode_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "bound", TRIAL_CSV, "--mode", "ignore-mediator")
         assert code == EXIT_INPUT_ERROR
@@ -301,8 +320,11 @@ class TestAudit:
         for mode in applicable_modes(scenario.structure):
             observed = derive_observables(scenario, mode)
             assert not any(re.search(r"-\d", note) for note in observed.notes), observed.notes
-            if observed.marginal_p_r1_given_e1 is not None:
-                assert observed.marginal_p_r1_given_e1 >= 0.0
+        # the joint law's P(R=1|E=1) is -3.6e-9 before its clamp
+        note = derive_observables(scenario, AnalysisMode.IGNORE_COVARIATE).notes[-1]
+        pairs = re.findall(r"P\(R=1\|E=[01]\) (\S+) vs ([^,\s]+)", note)
+        assert len(pairs) == 2, note
+        assert all(0.0 <= float(value) <= 1.0 for pair in pairs for value in pair), note
 
 
 class TestEdgeRegionFuzz:

@@ -98,13 +98,13 @@ class TestCollapses:
         obs = derive_observables(confounded_scenario, AnalysisMode.IGNORE_COVARIATE)
         assert obs.p_r1_given_e1 == pytest.approx(0.5653781512605042, abs=APPROX)
         assert obs.p_r1_given_e0 == pytest.approx(0.43101455216232837, abs=APPROX)
-        assert obs.marginal_p_r1_given_e1 == pytest.approx(0.595, abs=APPROX)
-        assert obs.marginal_p_r1_given_e0 == pytest.approx(0.4245121951219512, abs=APPROX)
-        assert any("differ from the joint law" in note for note in obs.notes)
+        assert obs.notes[-1] == (
+            "chain-reconstructed marginals (consumed by the formulas) differ from the joint law: "
+            "P(R=1|E=1) 0.565378151261 vs 0.595, P(R=1|E=0) 0.431014552162 vs 0.424512195122"
+        )
 
     def test_no_marginal_annotation_when_chain_matches(self, mediation_scenario):
         obs = derive_observables(mediation_scenario, AnalysisMode.FULL)
-        assert obs.marginal_p_r1_given_e1 is None
         assert not any("differ" in note for note in obs.notes)
 
     def test_ignore_mediator_keeps_strata(self, confounded_scenario):
@@ -203,6 +203,18 @@ class TestUndefinedConditionals:
             covariate_prior=(0.1, 0.9),
         )
         with pytest.raises(UndefinedConditionalError):
+            derive_observables(sc, AnalysisMode.IGNORE_COVARIATE)
+
+    def test_subnormal_mediator_level_breaks_collapse(self):
+        # P(S=s) P(M=1|S=s) underflows, so P(S=s|M=1) would be rounding noise
+        sc = Scenario(
+            Structure.MEDIATOR_COVARIATE,
+            response=((0.8, 0.7), (0.9, 0.3)),
+            mediator=((1e-320, 1e-320), (1e-320, 1e-320)),
+            exposure=(0.9, 0.1),
+            covariate_prior=(0.1, 0.9),
+        )
+        with pytest.raises(UndefinedConditionalError, match=r"P\(M=1\) = .* is subnormal"):
             derive_observables(sc, AnalysisMode.IGNORE_COVARIATE)
 
     def test_full_mode_tolerates_degenerate_exposure(self, crossover_scenario):
