@@ -20,15 +20,18 @@ the bounds are
     Delta / r1  <=  PC  <=  min{1, sum_s w_s N_s / r1}      (mediator).
 
 Under complete mediation E -> M -> R the rows r_es are the chain marginals
-through M, and with a = P(M=0|E=0), b = P(M=1|E=1), c = P(R=0|M=0),
-d = P(R=1|M=1) in stratum s,
+through M, and with m_e = P(M=1|E=e) and q_m = P(R=1|M=m) in stratum s,
 
-    N_s = | ac + (1-b)(1-d)   if a <= b, c <= d
-          | bc + (1-a)(1-d)   if a >  b, c <= d
-          | ad + (1-b)(1-c)   if a <= b, c >  d
-          | bd + (1-a)(1-c)   if a >  b, c >  d.
+    N_s = | (1-m0)(1-q0) + (1-m1)(1-q1)   if m0 + m1 >= 1, q0 + q1 >= 1
+          | m1(1-q0) + m0(1-q1)           if m0 + m1 <  1, q0 + q1 >= 1
+          | (1-m0)q1 + (1-m1)q0           if m0 + m1 >= 1, q0 + q1 <  1
+          | m1 q1 + m0 q0                 if m0 + m1 <  1, q0 + q1 <  1.
 
-At a tie (a = b or c = d) the adjacent cells coincide, so either branch
+This is the case split on a = 1-m0 <= b = m1 and c = 1-q0 <= d = q1 of
+Dawid, Murtas & Musio, written on the conditionals themselves: each
+branch is two products of x or 1-x, so no input is complemented twice and
+a rare response (q ~ 1e-300) keeps its relative precision.  At a tie
+(m0 + m1 = 1 or q0 + q1 = 1) the adjacent branches coincide, so either
 gives the same N.
 
 Read at K = 1 without a mediator this is the basic family,
@@ -109,10 +112,14 @@ def require_denominator(r1: float) -> float:
 
 
 def _mediation_cell(summary: Quad) -> float:
-    a, b, c, d = summary
-    if a <= b:
-        return a * c + (1.0 - b) * (1.0 - d) if c <= d else a * d + (1.0 - b) * (1.0 - c)
-    return b * c + (1.0 - a) * (1.0 - d) if c <= d else b * d + (1.0 - a) * (1.0 - c)
+    m0, m1, q0, q1 = summary
+    if m0 + m1 >= 1.0:
+        if q0 + q1 >= 1.0:
+            return (1.0 - m0) * (1.0 - q0) + (1.0 - m1) * (1.0 - q1)
+        return (1.0 - m0) * q1 + (1.0 - m1) * q0
+    if q0 + q1 >= 1.0:
+        return m1 * (1.0 - q0) + m0 * (1.0 - q1)
+    return m1 * q1 + m0 * q0
 
 
 def pc_bounds(observed: ObservableSet) -> PcInterval:

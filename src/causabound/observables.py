@@ -57,7 +57,8 @@ class ObservableSet(NamedTuple):
     Every set is stratified: a structure without a covariate is one stratum
     of weight 1.  `stratum_weights` are P(S=s|E=1), `stratum_response` the
     rows (P(R=1|E=0,S=s), P(R=1|E=1,S=s)), and `stratum_mediator_summary`
-    the per-stratum mediator quadruples, present exactly when a mediator is.
+    the per-stratum mediator conditionals (P(M=1|E=0), P(M=1|E=1),
+    P(R=1|M=0), P(R=1|M=1)), present exactly when a mediator is.
     `p_r1_given_e1` and `p_r1_given_e0` are the values the formulas
     consume: chain marginals whenever a mediator is in play.  When those
     differ from the joint-law marginals of the original scenario, a note
@@ -227,11 +228,6 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     return _collapse_covariate(scenario)
 
 
-def _quad(mediator: Pair, response: Pair) -> Quad:
-    """(a, b, c, d) = (P(M=0|E=0), P(M=1|E=1), P(R=0|M=0), P(R=1|M=1))."""
-    return (1.0 - mediator[0], mediator[1], 1.0 - response[0], response[1])
-
-
 def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> ObservableSet:
     """Summarize what the formulas consume from `reduced`, which is `reduce_scenario(scenario, mode)`.
 
@@ -245,7 +241,7 @@ def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> Observ
     rows0, rows1 = _response_rows(reduced, 0), _response_rows(reduced, 1)
     quads = None
     if st.has_mediator:
-        quads = tuple(map(_quad, reduced.mediator, reduced.response))  # type: ignore[arg-type]
+        quads = tuple((*m, *r) for m, r in zip(reduced.mediator, reduced.response))  # type: ignore[arg-type]
         where = "per-stratum P(R=1|E=e,S=s)" if st.has_covariate else "P(R=1|E=e)"
         notes += (f"{where} is the chain marginal through M",)
     p1 = _mix(weights, rows1)

@@ -101,7 +101,8 @@ def report_document(
 
 
 def render_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """`doc` as indented JSON; it must be a tree (as `report_document` and `demo_document` build), not a cyclic graph."""
+    return json.dumps(doc, indent=2, check_circular=False) + "\n"
 
 
 def render_csv(doc: dict[str, Any]) -> str:

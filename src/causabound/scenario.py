@@ -30,6 +30,7 @@ Scenario impossible to build at all.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from typing import Any, NamedTuple
 
@@ -117,11 +118,17 @@ def _is_probability_like(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_entry(violations: list[str], label: str, value: Any) -> None:
+def _entry_fault(value: Any) -> str | None:
+    """What is wrong with one table entry, None when it is a probability within tolerance.
+
+    Callers name the entry only when there is a fault, so a valid table
+    costs no message formatting.
+    """
     if not _is_probability_like(value):
-        violations.append(f"{label}: expected a number, found {value!r}")
-    elif not -PROBABILITY_TOLERANCE <= value <= 1.0 + PROBABILITY_TOLERANCE:
-        violations.append(f"{label}: value {value!r} outside [0, 1]")
+        return f"expected a number, found {value!r}"
+    if not -PROBABILITY_TOLERANCE <= value <= 1.0 + PROBABILITY_TOLERANCE:
+        return f"value {value!r} outside [0, 1]"
+    return None
 
 
 def _in_stratum(name: str, stratum: int | None) -> str:
@@ -129,12 +136,13 @@ def _in_stratum(name: str, stratum: int | None) -> str:
 
 
 def _check_pair(violations: list[str], name: str, var: str, value: Any, stratum: int | None) -> None:
-    suffix = "" if stratum is None else f",S={stratum}"
     if not isinstance(value, tuple) or len(value) != 2:
         violations.append(f"{_in_stratum(name, stratum)}: expected a pair indexed by {var}=0,1")
         return
     for v in (0, 1):
-        _check_entry(violations, f"{name}[{var}={v}{suffix}]", value[v])
+        if fault := _entry_fault(value[v]):
+            suffix = "" if stratum is None else f",S={stratum}"
+            violations.append(f"{name}[{var}={v}{suffix}]: {fault}")
 
 
 def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
@@ -160,7 +168,8 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
         else:
             strata = len(prior)
             for s, w in enumerate(prior):
-                _check_entry(v, f"covariate_prior[{s}]", w)
+                if fault := _entry_fault(w):
+                    v.append(f"covariate_prior[{s}]: {fault}")
             if all(_is_probability_like(w) for w in prior):
                 total = sum(prior)
                 if abs(total - 1.0) > PROBABILITY_TOLERANCE:
@@ -180,7 +189,8 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
             v.append("exposure: expected one P(E=1|S=s) entry per stratum")
         else:
             for s, p in enumerate(scenario.exposure):  # type: ignore[arg-type]
-                _check_entry(v, _in_stratum("exposure", stratum(s)), p)
+                if fault := _entry_fault(p):
+                    v.append(f"{_in_stratum('exposure', stratum(s))}: {fault}")
 
     def check_table(name: str, table: Any, var: str) -> None:
         if not per_stratum(table):
@@ -242,26 +252,50 @@ def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[i
     return tuple(seen[var] for var in expected)
 
 
+@functools.lru_cache(maxsize=32)
+def _canonical_conditions(var_levels: tuple[tuple[str, int], ...]) -> dict[str, tuple[int, ...]]:
+    """Every in-range assignment under its canonical key, as `scenario_to_dict` writes it ("E=0,S=1").
+
+    Cached by table shape, so the dict is shared and must not be changed;
+    32 shapes hold every table of the K <= 8 scenarios a sweep draws.
+    """
+    spellings: list[tuple[str, tuple[int, ...]]] = [("", ())]
+    for var, levels in var_levels:
+        spellings = [
+            (f"{key},{var}={x}" if key else f"{var}={x}", (*assignment, x))
+            for key, assignment in spellings
+            for x in range(levels)
+        ]
+    return dict(spellings)
+
+
 def _table_from_json(obj: Any, label: str, var_levels: dict[str, int]) -> dict[tuple[int, ...], float]:
+    """A conditional table keyed by assignment tuples in `var_levels` order.
+
+    Canonical keys resolve by lookup; any other spelling (reordered, spaced,
+    leading zeros) goes through `_parse_condition` and the range check, and
+    lands on the same assignment, so a condition given twice is a duplicate
+    whatever its spellings.
+    """
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{label}: expected an object of condition keys")
     names = tuple(var_levels)
+    canonical = _canonical_conditions(tuple(var_levels.items()))
     table: dict[tuple[int, ...], float] = {}
     for key, value in obj.items():
-        assignment = _parse_condition(str(key), names, label)
-        for var, val in zip(names, assignment):
-            if not 0 <= val < var_levels[var]:
-                raise ScenarioFormatError(f"{label}: condition {key!r} has {var} out of range")
+        assignment = canonical.get(key)
+        if assignment is None:
+            assignment = _parse_condition(str(key), names, label)
+            for var, val in zip(names, assignment):
+                if not 0 <= val < var_levels[var]:
+                    raise ScenarioFormatError(f"{label}: condition {key!r} has {var} out of range")
         if assignment in table:
             raise ScenarioFormatError(f"{label}: duplicate condition {key!r}")
         if not _is_probability_like(value):
             raise ScenarioFormatError(f"{label}: value for {key!r} is not a number")
         table[assignment] = float(value)
-    expected = 1
-    for k in var_levels.values():
-        expected *= k
-    if len(table) != expected:
-        raise ScenarioFormatError(f"{label}: expected {expected} entries, found {len(table)}")
+    if len(table) != len(canonical):
+        raise ScenarioFormatError(f"{label}: expected {len(canonical)} entries, found {len(table)}")
     return table
 
 

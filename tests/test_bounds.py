@@ -11,6 +11,7 @@ from causabound import (
     Scenario,
     Structure,
     UndefinedPcError,
+    compute_intervals,
     derive_observables,
     pc_bounds,
 )
@@ -86,20 +87,33 @@ class TestMediator:
         assert got.upper == pytest.approx(want.upper, abs=APPROX)
 
     def test_tie_between_branch_expressions(self):
-        # a=b and c=d: adjacent cells of the four-branch numerator coincide
+        # m0+m1=1 and q0+q1=1: adjacent cells of the four-branch numerator coincide
         sc = Scenario(Structure.MEDIATOR, response=((0.4, 0.6),), mediator=((0.5, 0.5),))
         obs = derive_observables(sc, AnalysisMode.FULL)
-        [(a, b, c, d)] = obs.stratum_mediator_summary
-        assert a == b and c == d
-        n_low_low = a * c + (1 - b) * (1 - d)
-        n_high_low = b * c + (1 - a) * (1 - d)
-        n_low_high = a * d + (1 - b) * (1 - c)
-        n_high_high = b * d + (1 - a) * (1 - c)
+        [(m0, m1, q0, q1)] = obs.stratum_mediator_summary
+        assert m0 + m1 == 1 and q0 + q1 == 1
+        n_low_low = (1 - m0) * (1 - q0) + (1 - m1) * (1 - q1)
+        n_high_low = m1 * (1 - q0) + m0 * (1 - q1)
+        n_low_high = (1 - m0) * q1 + (1 - m1) * q0
+        n_high_high = m1 * q1 + m0 * q0
         assert n_low_low == n_high_low == n_low_high == n_high_high
         interval = pc_bounds(obs)
         assert interval.upper == pytest.approx(
             min(1.0, n_low_low / obs.p_r1_given_e1), abs=APPROX
         )
+
+    @pytest.mark.parametrize("rare", [1e-12, 1e-300])
+    def test_rare_response_upper_bound_keeps_its_precision(self, rare):
+        # m0 + m1 < 1 and q0 + q1 < 1, so N = m1 q1 + m0 q0 with both terms near 1e-300 or 1e-12
+        sc = Scenario(
+            Structure.MEDIATOR,
+            response=((rare, rare),),
+            mediator=((0.42076070807229715, 0.12444584205207876),),
+        )
+        closed, oracle = compute_intervals(sc, AnalysisMode.FULL, (Method.CLOSED_FORM, Method.ORACLE))
+        assert closed.upper == pytest.approx(oracle.upper, abs=1e-12)
+        assert closed.lower == pytest.approx(oracle.lower, abs=1e-12)
+        assert closed.upper == pytest.approx(0.42076070807229715 + 0.12444584205207876, abs=1e-12)
 
     def test_refinement_never_exceeds_basic_upper(self, mediation_scenario):
         refined = bounds_for(mediation_scenario)
@@ -137,11 +151,11 @@ class TestMediatorCovariate:
     def test_confounded_interval_and_intermediates(self, confounded_scenario):
         obs = derive_observables(confounded_scenario, AnalysisMode.FULL)
         # per-stratum numerators 0.09 and 0.16, weights 0.5/0.5, denominator 0.595
-        a0, b0, c0, d0 = obs.stratum_mediator_summary[0]
-        n0 = b0 * c0 + (1 - a0) * (1 - d0)  # a>b, c<d branch
+        m0, m1, q0, q1 = obs.stratum_mediator_summary[0]
+        n0 = m1 * (1 - q0) + m0 * (1 - q1)  # m0+m1<1, q0+q1>=1 branch
         assert n0 == pytest.approx(0.09, abs=APPROX)
-        a1, b1, c1, d1 = obs.stratum_mediator_summary[1]
-        n1 = a1 * c1 + (1 - b1) * (1 - d1)  # a<b, c<d branch
+        m0, m1, q0, q1 = obs.stratum_mediator_summary[1]
+        n1 = (1 - m0) * (1 - q0) + (1 - m1) * (1 - q1)  # m0+m1>=1, q0+q1>=1 branch
         assert n1 == pytest.approx(0.16, abs=APPROX)
         denominator = sum(
             w * r[1] for w, r in zip(obs.stratum_weights, obs.stratum_response)

@@ -43,11 +43,8 @@ class TestFullMode:
 
     def test_mediator_quad_and_chain(self, mediation_scenario):
         obs = derive_observables(mediation_scenario, AnalysisMode.FULL)
-        [(a, b, c, d)] = obs.stratum_mediator_summary
-        assert a == pytest.approx(0.025, abs=APPROX)
-        assert b == 0.75
-        assert c == pytest.approx(0.1, abs=APPROX)
-        assert d == 0.1
+        # (P(M=1|E=0), P(M=1|E=1), P(R=1|M=0), P(R=1|M=1)) as given, not complemented
+        assert obs.stratum_mediator_summary == ((0.975, 0.75, 0.9, 0.1),)
         assert obs.p_r1_given_e1 == pytest.approx(0.3, abs=APPROX)
         assert obs.p_r1_given_e0 == pytest.approx(0.12, abs=APPROX)
         assert any("chain marginal" in note for note in obs.notes)
@@ -65,8 +62,8 @@ class TestFullMode:
     def test_mediator_covariate_stratum_summaries(self, confounded_scenario):
         obs = derive_observables(confounded_scenario, AnalysisMode.FULL)
         assert obs.stratum_weights == pytest.approx((0.5, 0.5), abs=APPROX)
-        assert obs.stratum_mediator_summary[0] == pytest.approx((0.9, 0.3, 0.2, 0.7), abs=APPROX)
-        assert obs.stratum_mediator_summary[1] == pytest.approx((0.2, 0.8, 0.1, 0.3), abs=APPROX)
+        assert obs.stratum_mediator_summary[0] == pytest.approx((0.1, 0.3, 0.8, 0.7), abs=APPROX)
+        assert obs.stratum_mediator_summary[1] == pytest.approx((0.8, 0.8, 0.9, 0.3), abs=APPROX)
         assert obs.stratum_response[0] == pytest.approx((0.79, 0.77), abs=APPROX)
         assert obs.stratum_response[1] == pytest.approx((0.42, 0.42), abs=APPROX)
 
@@ -81,12 +78,12 @@ class TestCollapses:
     def test_collapsed_mediator_quad(self, confounded_scenario):
         obs = derive_observables(confounded_scenario, AnalysisMode.IGNORE_COVARIATE)
         # Bayes-weighted collapse of the stratified tables, exact rationals:
-        # a = P(M=0|E=0), b = P(M=1|E=1), c = P(R=0|M=0), d = P(R=1|M=1)
+        # P(M=1|E=0), P(M=1|E=1), P(R=1|M=0), P(R=1|M=1)
         assert obs.stratum_mediator_summary[0] == pytest.approx(
             (
-                float(Fraction(171, 820)),
+                float(Fraction(649, 820)),
                 float(Fraction(11, 20)),
-                float(Fraction(9, 70)),
+                float(Fraction(61, 70)),
                 float(Fraction(589, 1870)),
             ),
             abs=APPROX,

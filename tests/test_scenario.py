@@ -1,6 +1,9 @@
 """Scenario construction, validation, and JSON round trips."""
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
 
@@ -13,6 +16,8 @@ from causabound import (
     scenario_to_dict,
     validate_scenario,
 )
+from causabound.cli import main
+from conftest import DATA
 
 
 class TestStructure:
@@ -85,6 +90,88 @@ class TestValidation:
         )
         violations = validate_scenario(bad)
         assert any("response[M=1,S=1]" in v for v in violations)
+
+    @pytest.mark.parametrize(
+        "position, value, expected",
+        [
+            ("covariate_prior", True, ("covariate_prior[1]: expected a number, found True",)),
+            ("covariate_prior", "0.5", ("covariate_prior[1]: expected a number, found '0.5'",)),
+            ("covariate_prior", None, ("covariate_prior[1]: expected a number, found None",)),
+            ("covariate_prior", float("nan"), ("covariate_prior[1]: value nan outside [0, 1]",)),
+            (
+                "covariate_prior",
+                float("inf"),
+                ("covariate_prior[1]: value inf outside [0, 1]", "covariate_prior: entries sum to inf, not 1"),
+            ),
+            (
+                "covariate_prior",
+                1.5,
+                ("covariate_prior[1]: value 1.5 outside [0, 1]", "covariate_prior: entries sum to 1.75, not 1"),
+            ),
+            (
+                "covariate_prior",
+                -1e-8,
+                (
+                    "covariate_prior[1]: value -1e-08 outside [0, 1]",
+                    "covariate_prior: entries sum to 0.24999999, not 1",
+                ),
+            ),
+            (
+                "covariate_prior",
+                1 + 2e-9,
+                (
+                    "covariate_prior[1]: value 1.000000002 outside [0, 1]",
+                    "covariate_prior: entries sum to 1.250000002, not 1",
+                ),
+            ),
+            ("exposure", True, ("exposure[S=1]: expected a number, found True",)),
+            ("exposure", "0.5", ("exposure[S=1]: expected a number, found '0.5'",)),
+            ("exposure", None, ("exposure[S=1]: expected a number, found None",)),
+            ("exposure", float("nan"), ("exposure[S=1]: value nan outside [0, 1]",)),
+            ("exposure", float("inf"), ("exposure[S=1]: value inf outside [0, 1]",)),
+            ("exposure", 1.5, ("exposure[S=1]: value 1.5 outside [0, 1]",)),
+            ("exposure", -1e-8, ("exposure[S=1]: value -1e-08 outside [0, 1]",)),
+            ("exposure", 1 + 2e-9, ("exposure[S=1]: value 1.000000002 outside [0, 1]",)),
+            ("mediator", True, ("mediator[E=0,S=1]: expected a number, found True",)),
+            ("mediator", "0.5", ("mediator[E=0,S=1]: expected a number, found '0.5'",)),
+            ("mediator", None, ("mediator[E=0,S=1]: expected a number, found None",)),
+            ("mediator", float("nan"), ("mediator[E=0,S=1]: value nan outside [0, 1]",)),
+            ("mediator", float("inf"), ("mediator[E=0,S=1]: value inf outside [0, 1]",)),
+            ("mediator", 1.5, ("mediator[E=0,S=1]: value 1.5 outside [0, 1]",)),
+            ("mediator", -1e-8, ("mediator[E=0,S=1]: value -1e-08 outside [0, 1]",)),
+            ("mediator", 1 + 2e-9, ("mediator[E=0,S=1]: value 1.000000002 outside [0, 1]",)),
+            ("response", True, ("response[M=1,S=0]: expected a number, found True",)),
+            ("response", "0.5", ("response[M=1,S=0]: expected a number, found '0.5'",)),
+            ("response", None, ("response[M=1,S=0]: expected a number, found None",)),
+            ("response", float("nan"), ("response[M=1,S=0]: value nan outside [0, 1]",)),
+            ("response", float("inf"), ("response[M=1,S=0]: value inf outside [0, 1]",)),
+            ("response", 1.5, ("response[M=1,S=0]: value 1.5 outside [0, 1]",)),
+            ("response", -1e-8, ("response[M=1,S=0]: value -1e-08 outside [0, 1]",)),
+            ("response", 1 + 2e-9, ("response[M=1,S=0]: value 1.000000002 outside [0, 1]",)),
+        ],
+    )
+    def test_bad_entry_message_names_its_position(self, position, value, expected):
+        tables = {
+            "covariate_prior": [0.25, 0.75],
+            "exposure": [0.4, 0.6],
+            "mediator": [[0.1, 0.3], [0.8, 0.8]],
+            "response": [[0.8, 0.7], [0.9, 0.2]],
+        }
+        # covariate_prior[1], exposure[S=1], mediator[E=0,S=1], response[M=1,S=0]
+        if position in ("covariate_prior", "exposure"):
+            tables[position][1] = value
+        elif position == "mediator":
+            tables[position][1][0] = value
+        else:
+            tables[position][0][1] = value
+        bad = Scenario(
+            Structure.MEDIATOR_COVARIATE,
+            response=tuple(map(tuple, tables["response"])),
+            mediator=tuple(map(tuple, tables["mediator"])),
+            exposure=tuple(tables["exposure"]),
+            covariate_prior=tuple(tables["covariate_prior"]),
+        )
+        assert validate_scenario(bad) == expected
 
     def test_tolerance_accepts_tiny_overshoot(self):
         sc = Scenario(Structure.BASIC, response=((1.0 + 5e-10, 0.12),))
@@ -164,6 +251,87 @@ class TestJsonRoundTrip:
         d = scenario_to_dict(trial_scenario)
         assert d["exposure"] == 0.5
         assert scenario_from_dict(d).exposure == (0.5,)
+
+
+def _stratified_doc(strata=3):
+    return {
+        "structure": "mediator_covariate",
+        "covariate_prior": [1 / strata] * strata,
+        "exposure": {f"S={s}": 0.2 + 0.1 * s for s in range(strata)},
+        "mediator": {f"E={e},S={s}": 0.1 + 0.3 * e + 0.05 * s for e in (0, 1) for s in range(strata)},
+        "response": {f"M={m},S={s}": 0.3 + 0.2 * m + 0.1 * s for m in (0, 1) for s in range(strata)},
+    }
+
+
+def _respelled(doc, spellings):
+    """`doc` with the i-th condition key of each table respelled by `spellings[i % len(spellings)]`."""
+    out = dict(doc)
+    for table in ("exposure", "mediator", "response"):
+        out[table] = {spellings[i % len(spellings)](key): value for i, (key, value) in enumerate(doc[table].items())}
+    return out
+
+
+def _reordered(key):
+    return ",".join(reversed(key.split(",")))
+
+
+def _spaced(key):
+    return " , ".join(" " + part.replace("=", " = ") + " " for part in key.split(","))
+
+
+def _zero_padded(key):
+    return ",".join(part.replace("=", "=00") for part in key.split(","))
+
+
+class TestConditionSpellings:
+    @pytest.mark.parametrize(
+        "spellings",
+        [(_reordered,), (_spaced,), (_zero_padded,), (str, _reordered, _spaced, _zero_padded)],
+        ids=["reordered", "spaced", "zero-padded", "mixed"],
+    )
+    def test_every_spelling_gives_the_canonical_scenario(self, spellings):
+        doc = _stratified_doc()
+        respelled = _respelled(doc, spellings)
+        assert respelled["response"] != doc["response"]
+        assert scenario_from_dict(respelled) == scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("first, second", [("E=1,S=2", "S=2, E=1"), ("S=2, E=1", "E=1,S=2")])
+    def test_duplicate_across_spellings_is_rejected(self, first, second):
+        doc = _stratified_doc()
+        others = {key: value for key, value in doc["mediator"].items() if key != "E=1,S=2"}
+        doc["mediator"] = {first: 0.5, **others, second: 0.5}
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == f"mediator: duplicate condition {second!r}"
+
+    @pytest.mark.parametrize("key", ["E=0,S=3", "S=3,E=0", "E=0,S=-1", "E=2,S=0"])
+    def test_level_out_of_range_is_rejected(self, key):
+        doc = _stratified_doc()
+        doc["mediator"][key] = 0.5
+        var = "E" if "E=2" in key else "S"
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == f"mediator: condition {key!r} has {var} out of range"
+
+    def test_canonical_keys_never_reach_the_general_parser(self, tmp_path):
+        docs = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))]
+        strata = 64
+        rows = ["E,M,R,S,count"]
+        for e in (0, 1):
+            for m in (0, 1):
+                for r in (0, 1):
+                    rows += [f"{e},{m},{r},{s},{5 + (7 * e + 3 * m + 11 * r + s) % 50}" for s in range(strata)]
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(rows) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["estimate", str(counts)]) == 0
+        docs.append(json.loads(out.getvalue()))
+        assert len(docs[-1]["covariate_prior"]) == strata
+        parse = AssertionError("a canonical condition key went through _parse_condition")
+        with mock.patch("causabound.scenario._parse_condition", side_effect=parse):
+            loaded = [scenario_from_dict(doc) for doc in docs]
+        assert [scenario_to_dict(sc) for sc in loaded] == docs
 
 
 class TestFormatErrors:
