@@ -22,7 +22,7 @@ from .bounds import Method, PcInterval, pc_bounds
 from .errors import UndefinedConditionalError
 from .observables import observe, reduce_scenario
 from .oracle import oracle_bounds
-from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
+from .scenario import AnalysisMode, Scenario, Structure, clamp_scenario, scenario_to_dict
 
 NESTED_SLACK = 1e-12
 
@@ -33,12 +33,12 @@ class Relation(str, enum.Enum):
     DISJOINT = "disjoint"
 
 
-def classify_relation(a: PcInterval, b: PcInterval, slack: float = NESTED_SLACK) -> Relation:
+def classify_relation(a: PcInterval, b: PcInterval) -> Relation:
     """How two closed intervals relate; disjointness is strict separation."""
     if a.upper < b.lower or b.upper < a.lower:
         return Relation.DISJOINT
-    a_in_b = a.lower >= b.lower - slack and a.upper <= b.upper + slack
-    b_in_a = b.lower >= a.lower - slack and b.upper <= a.upper + slack
+    a_in_b = a.lower >= b.lower - NESTED_SLACK and a.upper <= b.upper + NESTED_SLACK
+    b_in_a = b.lower >= a.lower - NESTED_SLACK and b.upper <= a.upper + NESTED_SLACK
     if a_in_b or b_in_a:
         return Relation.NESTED
     return Relation.OVERLAPPING
@@ -103,9 +103,16 @@ def compute_intervals(
 ) -> tuple[PcInterval, ...]:
     """The PC interval of `scenario` analysed under `mode`, once per method in `methods`.
 
-    The scenario is reduced once: the closed form reads the observables of
-    the reduced scenario, the oracle searches its boxes.
+    The tables are first clamped into [0, 1], as the CLI does at load, so
+    both methods read the same tables whatever overshoot validation admitted.
     """
+    return _mode_intervals(clamp_scenario(scenario), mode, methods)
+
+
+def _mode_intervals(
+    scenario: Scenario, mode: AnalysisMode, methods: tuple[Method, ...]
+) -> tuple[PcInterval, ...]:
+    """`compute_intervals` on clamped tables; the scenario is reduced once for every method."""
     reduced = reduce_scenario(scenario, mode)
     return tuple(
         pc_bounds(observe(scenario, reduced, mode))
@@ -116,17 +123,18 @@ def compute_intervals(
 
 
 def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_FORM,)) -> AuditReport:
-    """Audit every applicable mode with the requested methods.
+    """Audit every applicable mode with the requested methods, on the clamped tables.
 
     A mode whose conditionals are undefined under its collapse records the
     error in every method's cell (both methods read the same stratum weights
     and denominator, so they fail together), never aborts the rest of the
     audit, and drops out of the relation matrix as None rows.
     """
+    clamped = clamp_scenario(scenario)
     entries: list[AuditEntry] = []
     for mode in applicable_modes(scenario.structure):
         try:
-            intervals = compute_intervals(scenario, mode, methods)
+            intervals = _mode_intervals(clamped, mode, methods)
         except UndefinedConditionalError as exc:
             entries.extend(AuditEntry(mode, method, None, str(exc)) for method in methods)
         else:

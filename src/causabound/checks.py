@@ -35,7 +35,6 @@ class StructureSweep(NamedTuple):
     """Worst disagreement seen for one structure."""
 
     structure: Structure
-    trials: int
     max_discrepancy: float
     worst_scenario: Scenario | None
     worst_endpoint: str
@@ -44,7 +43,6 @@ class StructureSweep(NamedTuple):
 class SweepReport(NamedTuple):
     seed: int
     trials_per_structure: int
-    tolerance: float
     results: tuple[StructureSweep, ...]
 
     @property
@@ -53,12 +51,10 @@ class SweepReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.max_discrepancy <= self.tolerance
+        return self.max_discrepancy <= TOLERANCE
 
 
-def equivalence_sweep(
-    seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS, tolerance: float = TOLERANCE
-) -> SweepReport:
+def equivalence_sweep(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> SweepReport:
     """Run the sweep: `trials` scenarios per structure from one seeded stream."""
     rng = random.Random(seed)
     results = []
@@ -75,8 +71,8 @@ def equivalence_sweep(
             ):
                 if gap > worst:
                     worst, worst_scenario, worst_endpoint = gap, scenario, endpoint
-        results.append(StructureSweep(structure, trials, worst, worst_scenario, worst_endpoint))
-    return SweepReport(seed, trials, tolerance, tuple(results))
+        results.append(StructureSweep(structure, worst, worst_scenario, worst_endpoint))
+    return SweepReport(seed, trials, tuple(results))
 
 
 def render_sweep_report(report: SweepReport) -> str:
@@ -87,16 +83,16 @@ def render_sweep_report(report: SweepReport) -> str:
         f"generator guardrail: denominators and stratum weights below {MIN_MASS} are excluded",
     ]
     for r in report.results:
-        verdict = "ok" if r.max_discrepancy <= report.tolerance else "FAIL"
+        verdict = "ok" if r.max_discrepancy <= TOLERANCE else "FAIL"
         lines.append(
             f"  {r.structure.value:<19} max endpoint gap {r.max_discrepancy:.3e}  {verdict}"
         )
     if report.ok:
-        lines.append(f"all structures agree within {report.tolerance:.0e}")
+        lines.append(f"all structures agree within {TOLERANCE:.0e}")
     else:
-        lines.append(f"DISAGREEMENT beyond {report.tolerance:.0e}; worst offenders follow for replay:")
+        lines.append(f"DISAGREEMENT beyond {TOLERANCE:.0e}; worst offenders follow for replay:")
         for r in report.results:
-            if r.max_discrepancy > report.tolerance and r.worst_scenario is not None:
+            if r.max_discrepancy > TOLERANCE and r.worst_scenario is not None:
                 lines.append(
                     f"  {r.structure.value} ({r.worst_endpoint} endpoint, gap {r.max_discrepancy:.3e}):"
                 )

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import EmptyConditioningCellError, ScenarioFormatError
-from .scenario import Scenario, Structure
+from .scenario import Scenario, Structure, decimal_int
 
 VARIABLE_ORDER = ("E", "M", "R", "S")
 
@@ -140,8 +140,8 @@ def read_counts_csv(path: str) -> ContingencyTable:
         if len(row) != len(header):
             raise ScenarioFormatError(f"line {lineno}: expected {len(header)} fields")
         try:
-            values = tuple(int(f.strip()) for f in row[:-1])
-            count = int(row[-1].strip())
+            values = tuple(map(decimal_int, row[:-1]))
+            count = decimal_int(row[-1])
         except ValueError:
             raise ScenarioFormatError(f"line {lineno}: entries must be integers") from None
         for var, val in zip(variables, values):

@@ -23,24 +23,15 @@ class ReferenceCase(NamedTuple):
     name: str
     summary: str
     scenario: Scenario
-    counts: ContingencyTable | None
     expected: tuple[tuple[AnalysisMode, str, str], ...]
 
 
-def _trial_counts() -> ContingencyTable:
-    return ContingencyTable.from_cells(
-        ("E", "R"),
-        {(0, 0): 88, (0, 1): 12, (1, 0): 70, (1, 1): 30},
-    )
-
-
 def _cases() -> tuple[ReferenceCase, ...]:
-    counts = _trial_counts()
+    trial_counts = ContingencyTable.from_cells(("E", "R"), {(0, 0): 88, (0, 1): 12, (1, 0): 70, (1, 1): 30})
     randomized_trial = ReferenceCase(
         "randomized-trial",
         "100 exposed vs 100 unexposed, response rates 30% and 12%",
-        estimate_from_counts(counts, Structure.BASIC),
-        counts,
+        estimate_from_counts(trial_counts, Structure.BASIC),
         ((AnalysisMode.FULL, "0.60", "1.00"),),
     )
     complete_mediation = ReferenceCase(
@@ -51,7 +42,6 @@ def _cases() -> tuple[ReferenceCase, ...]:
             response=((0.9, 0.1),),
             mediator=((0.975, 0.75),),
         ),
-        None,
         (
             (AnalysisMode.FULL, "0.60", "0.76"),
             (AnalysisMode.IGNORE_MEDIATOR, "0.60", "1.00"),
@@ -66,7 +56,6 @@ def _cases() -> tuple[ReferenceCase, ...]:
             exposure=(0.8, 0.2),
             covariate_prior=(0.5, 0.5),
         ),
-        None,
         (
             (AnalysisMode.FULL, "0.71", "1.00"),
             (AnalysisMode.IGNORE_COVARIATE, "0.00", "0.47"),
@@ -82,7 +71,6 @@ def _cases() -> tuple[ReferenceCase, ...]:
             exposure=(0.9, 0.1),
             covariate_prior=(0.1, 0.9),
         ),
-        None,
         (
             (AnalysisMode.FULL, "0.00", "0.21"),
             (AnalysisMode.IGNORE_MEDIATOR, "0.00", "0.53"),
@@ -96,17 +84,15 @@ def _cases() -> tuple[ReferenceCase, ...]:
 REFERENCE_CASES = _cases()
 
 
-def demo_document(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[dict, bool]:
+def demo_document() -> tuple[dict, bool]:
     """Recompute every reference interval both ways and check its displays.
 
     Returns a JSON-friendly document and whether all displays matched.
     """
-    if cases is None:
-        cases = REFERENCE_CASES
     doc_cases = []
     ok = True
     checked = 0
-    for case in cases:
+    for case in REFERENCE_CASES:
         expected_by_mode = {mode: (lo, hi) for mode, lo, hi in case.expected}
         rows = []
         for mode in applicable_modes(case.scenario.structure):
@@ -139,9 +125,9 @@ def demo_document(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[dict,
     return doc, ok
 
 
-def run_demo(cases: tuple[ReferenceCase, ...] | None = None) -> tuple[str, bool]:
+def run_demo() -> tuple[str, bool]:
     """demo_document rendered as a text table; returns it and the verdict."""
-    doc, ok = demo_document(cases)
+    doc, ok = demo_document()
     lines = []
     for case in doc["cases"]:
         lines.append(f"{case['name']}: {case['summary']}")

@@ -233,6 +233,20 @@ def clamp_scenario(scenario: Scenario) -> Scenario:
 # 1-tuple of the single stratum.
 
 
+def decimal_int(text: str) -> int:
+    """The integer `text` spells in ASCII decimal digits, with an optional leading minus.
+
+    Surrounding spaces and leading zeros are accepted.  Anything else `int`
+    would take ("+0", "1_000", non-ASCII digits) raises ValueError, and so
+    does a minus zero, which is no spelling of a level or count.
+    """
+    text = text.strip()
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()) or (text.startswith("-") and not digits.strip("0")):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[int, ...]:
     parts = [p.strip() for p in key.split(",")]
     seen: dict[str, int] = {}
@@ -242,7 +256,7 @@ def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[i
         if not eq or var in seen:
             raise ScenarioFormatError(f"{label}: bad condition key {key!r}")
         try:
-            seen[var] = int(raw)
+            seen[var] = decimal_int(raw)
         except ValueError:
             raise ScenarioFormatError(f"{label}: bad condition key {key!r}") from None
     if tuple(sorted(seen)) != tuple(sorted(expected)):

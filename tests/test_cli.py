@@ -8,7 +8,17 @@ import re
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from causabound import AnalysisMode, Structure, applicable_modes, derive_observables, scenario_from_dict
+from causabound import (
+    AnalysisMode,
+    Method,
+    Structure,
+    applicable_modes,
+    compute_intervals,
+    derive_observables,
+    run_audit,
+    scenario_from_dict,
+    validate_scenario,
+)
 from causabound import demo as demo_module
 from causabound.checks import TOLERANCE
 from causabound.cli import (
@@ -50,6 +60,14 @@ AMPLIFIED_OVERSHOOT = {
     },
 }
 
+# valid within the tolerance; unclamped, the closed form reads upper 0.49975 and
+# the oracle 0.49999975, where the clamped tables give 0.49999975 to both
+RESPONSE_OVERSHOOT = {
+    "structure": "mediator",
+    "mediator": {"E=0": 0.5, "E=1": 1e-6},
+    "response": {"M=0": 1e-6, "M=1": 1.000000001},
+}
+
 SUBNORMAL_DENOMINATOR = {
     "structure": "mediator",
     "mediator": {"E=0": 0.6418946885374921, "E=1": 1e-300},
@@ -74,6 +92,14 @@ MALFORMED_INPUTS = {
     "deeply_nested.json": b"[" * 200_000 + b"]" * 200_000,
     "long_field.csv": b"E,R,count\n0,0," + b"1" * 140_000 + b"\n",
     "repeated_key.json": b'{"structure": "basic", "response": {"E=0": 0.9, "E=0": 0.12, "E=1": 0.3}}',
+    # levels and counts are ASCII decimal digits, not whatever int() accepts
+    "plus_sign_key.json": b'{"structure": "basic", "response": {"E=+0": 0.12, "E=1": 0.3}}',
+    "minus_zero_key.json": b'{"structure": "basic", "response": {"E=-0": 0.12, "E=1": 0.3}}',
+    "arabic_indic_key.json": '{"structure": "basic", "response": {"E=\u0660": 0.12, "E=1": 0.3}}'.encode(),
+    "underscore_key.json": b'{"structure": "basic", "response": {"E=0_0": 0.12, "E=1": 0.3}}',
+    "plus_sign_level.csv": b"E,R,count\n+0,0,88\n0,1,12\n1,0,70\n1,1,30\n",
+    "underscore_count.csv": b"E,R,count\n0,0,1_000\n0,1,12\n1,0,70\n1,1,30\n",
+    "arabic_indic_count.csv": "E,R,count\n0,0,\u0661\u0662\n0,1,12\n1,0,70\n1,1,30\n".encode(),
 }
 
 # exact ends, signed zero, subnormals, and overshoot inside the 1e-9 tolerance
@@ -313,6 +339,21 @@ class TestAudit:
             if closed["lower"] is not None:
                 assert abs(closed["lower"] - oracle["lower"]) <= TOLERANCE
                 assert abs(closed["upper"] - oracle["upper"]) <= TOLERANCE
+
+    def test_library_path_reads_the_clamped_tables(self, capsys, tmp_path):
+        path = tmp_path / "overshoot.json"
+        path.write_text(json.dumps(RESPONSE_OVERSHOOT))
+        code, out, err = run(capsys, "audit", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        printed = [(e["lower"], e["upper"]) for e in json.loads(out)["audit"]["entries"]]
+        scenario = scenario_from_dict(RESPONSE_OVERSHOOT)
+        assert validate_scenario(scenario) == ()
+        methods = (Method.CLOSED_FORM, Method.ORACLE)
+        audited = [(e.interval.lower, e.interval.upper) for e in run_audit(scenario, methods).entries]
+        full = [(iv.lower, iv.upper) for iv in compute_intervals(scenario, AnalysisMode.FULL, methods)]
+        assert len(audited) == len(printed) == 4
+        for got, want in zip(audited + full, printed + printed[:2]):
+            assert got == pytest.approx(want, abs=1e-9)
 
     def test_amplified_overshoot_notes_stay_probabilities(self):
         # in-process, so the entries reach the collapses without the CLI's clamp

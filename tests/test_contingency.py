@@ -72,6 +72,27 @@ class TestTable:
         with pytest.raises(ScenarioFormatError):
             read_counts_csv(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["+0,0,88", "\u0660,0,88", "-0,0,88", "0,0,1_000", "0,0,\u0661\u0662", "0,0,-0"],
+        ids=["plus-level", "arabic-indic-level", "minus-zero-level", "underscore-count", "arabic-indic-count",
+             "minus-zero-count"],
+    )
+    def test_csv_entries_must_be_ascii_decimal_digits(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"E,R,count\n{row}\n0,1,12\n1,0,70\n1,1,30\n", encoding="utf-8")
+        with pytest.raises(ScenarioFormatError) as err:
+            read_counts_csv(path)
+        assert str(err.value) == "line 2: entries must be integers"
+
+    def test_csv_spaces_leading_zeros_and_negatives_keep_their_meaning(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text(" E , R ,count\n 0 ,00, 088 \n0,1,12\n1,0,70\n1,1,30\n", encoding="utf-8")
+        assert read_counts_csv(path).cells[0] == ((0, 0), 88)
+        path.write_text("E,R,count\n0,0,-5\n0,1,12\n1,0,70\n1,1,30\n", encoding="utf-8")
+        with pytest.raises(ScenarioFormatError, match="line 2: negative count"):
+            read_counts_csv(path)
+
 
 class TestStructureForVariables:
     def test_all_four(self):

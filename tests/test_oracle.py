@@ -143,8 +143,7 @@ class TestGridScan:
             reduced = reduce_scenario(sc, mode)
             cert = oracle_bounds(reduced, mode)
             grid = grid_scan_bounds(reduced, 2, mode)
-            assert grid.lower == pytest.approx(cert.interval.lower, abs=1e-15)
-            assert grid.upper == pytest.approx(cert.interval.upper, abs=1e-15)
+            assert (grid.lower, grid.upper) == (cert.interval.lower, cert.interval.upper)
 
     def test_mediation_at_resolution_101(self, mediation_scenario):
         cert = oracle_bounds(mediation_scenario)
@@ -161,12 +160,16 @@ class TestGridScan:
         assert grid.lower >= cert.interval.lower - 1e-12
         assert grid.upper <= cert.interval.upper + 1e-12
 
-    def test_interior_points_never_escape_the_corner_interval(self, mediation_scenario):
+    def test_interior_points_never_escape_the_corner_interval(self, mediation_scenario, trial_scenario):
         cert = oracle_bounds(mediation_scenario)
         for resolution in (3, 7, 33):
             grid = grid_scan_bounds(mediation_scenario, resolution)
             assert grid.lower >= cert.interval.lower - 1e-12
             assert grid.upper <= cert.interval.upper + 1e-12
+        # a single box is linear in qR: its interior points cannot widen the scan at all
+        cert = oracle_bounds(trial_scenario)
+        grid = grid_scan_bounds(trial_scenario, 5)
+        assert (grid.lower, grid.upper) == (cert.interval.lower, cert.interval.upper) == (0.6, 1.0)
 
     def test_resolution_below_two_is_rejected(self, trial_scenario):
         with pytest.raises(ValueError):

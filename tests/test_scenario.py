@@ -313,6 +313,19 @@ class TestConditionSpellings:
             scenario_from_dict(doc)
         assert str(err.value) == f"mediator: condition {key!r} has {var} out of range"
 
+    @pytest.mark.parametrize(
+        "level", ["+0", "-0", "\u0660", "0_0"], ids=["plus", "minus-zero", "arabic-indic", "underscore"]
+    )
+    @pytest.mark.parametrize("var", ["E", "S"])
+    def test_level_must_be_ascii_decimal_digits(self, var, level):
+        # each key would otherwise name E=0,S=0, which is what int() makes of it
+        key = "E=0,S=0".replace(f"{var}=0", f"{var}={level}")
+        doc = _stratified_doc()
+        doc["mediator"] = {key if k == "E=0,S=0" else k: v for k, v in doc["mediator"].items()}
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == f"mediator: bad condition key {key!r}"
+
     def test_canonical_keys_never_reach_the_general_parser(self, tmp_path):
         docs = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))]
         strata = 64

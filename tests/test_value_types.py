@@ -24,7 +24,7 @@ from causabound import (
 def test_cli_import_skips_dataclasses_and_inspect():
     code = (
         "import sys, causabound.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'causabound.kernels'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
