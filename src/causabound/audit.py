@@ -22,7 +22,7 @@ from .bounds import Method, PcInterval, pc_bounds
 from .errors import UndefinedConditionalError
 from .observables import observe, reduce_scenario
 from .oracle import oracle_bounds
-from .scenario import AnalysisMode, Scenario, Structure, clamp_scenario, scenario_to_dict
+from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
 
 NESTED_SLACK = 1e-12
 
@@ -45,15 +45,16 @@ def classify_relation(a: PcInterval, b: PcInterval) -> Relation:
 
 
 def applicable_modes(structure: Structure) -> tuple[AnalysisMode, ...]:
-    """Every mode the structure supports, full information first."""
-    modes = [AnalysisMode.FULL]
-    if structure.has_mediator:
-        modes.append(AnalysisMode.IGNORE_MEDIATOR)
-    if structure.has_covariate:
-        modes.append(AnalysisMode.IGNORE_COVARIATE)
-    if structure.has_mediator and structure.has_covariate:
-        modes.append(AnalysisMode.IGNORE_BOTH)
-    return tuple(modes)
+    """Every mode `reduce_scenario` accepts for the structure, in enum order, so full information first.
+
+    A mode may drop M or S only where the structure has it.
+    """
+    return tuple(
+        mode
+        for mode in AnalysisMode
+        if (structure.has_mediator or not mode.drops_mediator)
+        and (structure.has_covariate or not mode.drops_covariate)
+    )
 
 
 class AuditEntry(NamedTuple):
@@ -103,16 +104,9 @@ def compute_intervals(
 ) -> tuple[PcInterval, ...]:
     """The PC interval of `scenario` analysed under `mode`, once per method in `methods`.
 
-    The tables are first clamped into [0, 1], as the CLI does at load, so
-    both methods read the same tables whatever overshoot validation admitted.
+    The scenario is reduced once for every method, and both methods read
+    the tables as the Scenario stores them.
     """
-    return _mode_intervals(clamp_scenario(scenario), mode, methods)
-
-
-def _mode_intervals(
-    scenario: Scenario, mode: AnalysisMode, methods: tuple[Method, ...]
-) -> tuple[PcInterval, ...]:
-    """`compute_intervals` on clamped tables; the scenario is reduced once for every method."""
     reduced = reduce_scenario(scenario, mode)
     return tuple(
         pc_bounds(observe(scenario, reduced, mode))
@@ -123,18 +117,17 @@ def _mode_intervals(
 
 
 def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_FORM,)) -> AuditReport:
-    """Audit every applicable mode with the requested methods, on the clamped tables.
+    """Audit every applicable mode with the requested methods.
 
     A mode whose conditionals are undefined under its collapse records the
     error in every method's cell (both methods read the same stratum weights
     and denominator, so they fail together), never aborts the rest of the
     audit, and drops out of the relation matrix as None rows.
     """
-    clamped = clamp_scenario(scenario)
     entries: list[AuditEntry] = []
     for mode in applicable_modes(scenario.structure):
         try:
-            intervals = _mode_intervals(clamped, mode, methods)
+            intervals = compute_intervals(scenario, mode, methods)
         except UndefinedConditionalError as exc:
             entries.extend(AuditEntry(mode, method, None, str(exc)) for method in methods)
         else:

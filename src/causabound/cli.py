@@ -19,7 +19,7 @@ from .contingency import estimate_from_counts, read_counts_csv, structure_for_va
 from .demo import demo_document, run_demo
 from .errors import InapplicableModeError, ScenarioFormatError, UndefinedConditionalError
 from .report import digest_bytes, render_csv, render_json, report_document
-from .scenario import AnalysisMode, Scenario, clamp_scenario, load_scenario, scenario_to_dict, validate_scenario
+from .scenario import AnalysisMode, Scenario, load_scenario, scenario_to_dict, validate_scenario
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -82,7 +82,7 @@ def _methods(flag: str) -> tuple[Method, ...]:
 
 
 def _load_input(path: str) -> tuple[Scenario, str]:
-    """Load, validate and clamp a scenario from .json or .csv (estimated); return it with its digest."""
+    """Load and validate a scenario from .json or .csv (estimated); return it with its digest."""
     with open(path, "rb") as fh:
         digest = digest_bytes(fh.read())
     if path.endswith(".json"):
@@ -95,7 +95,7 @@ def _load_input(path: str) -> tuple[Scenario, str]:
     violations = validate_scenario(scenario)
     if violations:
         raise ScenarioFormatError("invalid scenario:\n  " + "\n  ".join(violations))
-    return clamp_scenario(scenario), digest
+    return scenario, digest
 
 
 def _emit(doc: dict, output: str) -> None:

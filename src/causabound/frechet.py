@@ -46,8 +46,9 @@ class FrechetBox(NamedTuple):
 def frechet_box(p0: float, p1: float) -> FrechetBox:
     """Build the box for margins p0 = P(V(0)=1), p1 = P(V(1)=1).
 
-    Margins may overshoot [0, 1] by the validation tolerance (rounding in
-    upstream collapses); they are clamped.  Larger excursions are rejected.
+    Margins up to the validation tolerance outside [0, 1] are clamped; larger
+    excursions are rejected.  A Scenario's tables never need the clamp: it
+    serves callers that build margins themselves.
     """
     clamped = []
     for name, p in (("p0", p0), ("p1", p1)):

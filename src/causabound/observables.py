@@ -26,7 +26,8 @@ above (given E=e for the M|E and R|E tables, given M=m for the R|M table,
 where P(S=s|M=m) comes from the joint law); dropping M replaces the
 mediator machinery with the chain marginals.  `reduce_scenario` performs
 these collapses and returns an ordinary Scenario of the smaller structure,
-so every analysis mode reuses the same downstream derivations.
+so every analysis mode reuses the same downstream derivations, and the
+tolerance rule for an entry that rounding left just outside [0, 1].
 """
 
 from __future__ import annotations
@@ -109,18 +110,16 @@ def _usable(p: float, event: str, consequence: str) -> float:
 def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
     """P(S=s|E=e) by Bayes' rule, (1.0,) when S is absent; raises when P(E=e) is 0 or subnormal.
 
-    Both the closed form and the oracle weigh their strata with this.
+    P(E=e) is the sum of the joint terms the weights divide, not 1 - P(E=1-e),
+    so the weights sum to 1 within rounding however small P(E=e) is.  Both
+    the closed form and the oracle weigh their strata with this.
     """
     if not scenario.structure.has_covariate:
         return (1.0,)
-    p_e1 = _exposure_marginal(scenario)
-    p_e = _usable(p_e1 if e == 1 else 1.0 - p_e1, f"P(E={e})", f"nothing is conditionally defined given E={e}")
-    out = []
-    for s in range(scenario.n_strata):
-        expo = scenario.exposure[s]  # type: ignore[index]
-        p_e_given_s = expo if e == 1 else 1.0 - expo
-        out.append(scenario.covariate_prior[s] * p_e_given_s / p_e)  # type: ignore[index]
-    return tuple(out)
+    strata = zip(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
+    joint = [prior * (expo if e == 1 else 1.0 - expo) for prior, expo in strata]
+    p_e = _usable(sum(joint), f"P(E={e})", f"nothing is conditionally defined given E={e}")
+    return tuple(j / p_e for j in joint)
 
 
 def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
@@ -162,24 +161,10 @@ def true_marginal_response(scenario: Scenario, e: int) -> float:
     return _mix(stratum_posterior(scenario, e), _response_rows(scenario, e))
 
 
-def _probability(value: float) -> float:
-    """A collapsed conditional, clamped into [0, 1].
-
-    Every table a collapse builds is a probability by construction, but the
-    Bayes weights can amplify an input's tolerance overshoot (say -5e-10)
-    past the tolerance, which the oracle's Frechet boxes then reject.
-    Clamping here gives both methods the same in-range values.
-    """
-    return min(1.0, max(0.0, value))
-
-
 def _collapse_to_basic(scenario: Scenario) -> Scenario:
     """Drop everything but E and R, keeping the joint-law marginals."""
-    response = (
-        _probability(true_marginal_response(scenario, 0)),
-        _probability(true_marginal_response(scenario, 1)),
-    )
-    return Scenario(Structure.BASIC, (response,), None, (_probability(_exposure_marginal(scenario)),))
+    response = (true_marginal_response(scenario, 0), true_marginal_response(scenario, 1))
+    return Scenario(Structure.BASIC, (response,), None, (_exposure_marginal(scenario),))
 
 
 def _collapse_covariate(scenario: Scenario) -> Scenario:
@@ -190,18 +175,18 @@ def _collapse_covariate(scenario: Scenario) -> Scenario:
     mediator = []
     for e in (0, 1):
         strata = zip(stratum_posterior(scenario, e), scenario.mediator)  # type: ignore[arg-type]
-        mediator.append(_probability(sum(w * pair[e] for w, pair in strata)))
+        mediator.append(sum(w * pair[e] for w, pair in strata))
     response = []
     for m in (0, 1):
         strata = zip(_mediator_posterior(scenario, m), scenario.response)
-        response.append(_probability(sum(w * pair[m] for w, pair in strata)))
-    p_e1 = _probability(_exposure_marginal(scenario))
+        response.append(sum(w * pair[m] for w, pair in strata))
+    p_e1 = _exposure_marginal(scenario)
     return Scenario(Structure.MEDIATOR, (tuple(response),), (tuple(mediator),), (p_e1,))
 
 
 def _collapse_mediator(scenario: Scenario) -> Scenario:
     """Replace the mediator tables by the chain marginals they induce, stratum by stratum."""
-    rows = [map(_probability, _response_rows(scenario, e)) for e in (0, 1)]
+    rows = [_response_rows(scenario, e) for e in (0, 1)]
     structure = Structure.COVARIATE if scenario.structure.has_covariate else Structure.BASIC
     return Scenario(structure, tuple(zip(*rows)), None, scenario.exposure, scenario.covariate_prior)
 
@@ -212,7 +197,8 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     Only reductions the structure supports are allowed: a mode may drop M
     or S only where they exist.  Dropping both collapses S first, which
     equals dropping the structure to basic via the true joint marginals.
-    Every table a collapse builds is clamped into [0, 1].
+    Every table a collapse builds is stored by Scenario, so it lies in
+    [0, 1] whenever the input tables do.
     """
     st = scenario.structure
     if mode.drops_mediator and not st.has_mediator:
@@ -256,8 +242,8 @@ def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> Observ
         # only ignore-covariate on mediator_covariate lands here: p0 is set, as
         # the reduced view has no covariate, and the collapse has already
         # required P(E=0) and P(E=1) of `scenario` to be usable
-        truth1 = _probability(true_marginal_response(scenario, 1))
-        truth0 = _probability(true_marginal_response(scenario, 0))
+        truth1 = true_marginal_response(scenario, 1)
+        truth0 = true_marginal_response(scenario, 0)
         if abs(p1 - truth1) > 1e-12 or abs(p0 - truth0) > 1e-12:  # type: ignore[operator]
             notes += (
                 "chain-reconstructed marginals (consumed by the formulas) differ from the joint law: "

@@ -39,58 +39,43 @@ def _interior(rng: random.Random) -> float:
 
 
 def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario | None:
-    if structure is Structure.BASIC:
-        r0, r1 = rng.random(), rng.random()
-        if r1 < MIN_MASS:
+    """One candidate, or None once a guardrail rejects it: S where present, then M, then R."""
+    strata, weights = 1, [1.0]  # without S, one stratum of weight 1
+    exposure = prior = None
+    if structure.has_covariate:
+        strata = rng.randint(2, max_strata)
+        raw = [rng.random() for _ in range(strata)]
+        total = sum(raw)
+        if total <= 0.0:
             return None
-        return Scenario(structure, ((r0, r1),))
+        prior = tuple(w / total for w in raw)
+        if min(prior) < MIN_MASS:
+            return None
+        exposure = tuple(rng.random() for _ in range(strata))
+        if any(not MIN_MASS <= e <= 1.0 - MIN_MASS for e in exposure):
+            return None
+        p_e1 = sum(p * e for p, e in zip(prior, exposure))
+        if not MIN_MASS <= p_e1 <= 1.0 - MIN_MASS:
+            return None
+        weights = [p * e / p_e1 for p, e in zip(prior, exposure)]
+        if min(weights) < MIN_MASS:
+            return None
 
-    if structure is Structure.MEDIATOR:
-        m0, m1 = _interior(rng), _interior(rng)
-        if m0 < 0.0 or m1 < 0.0:
-            return None
-        mediator = (m0, m1)
-        response = (rng.random(), rng.random())
-        if chain_response(mediator, response, 1) < MIN_MASS:
-            return None
-        return Scenario(structure, (response,), (mediator,))
+    mediator = None
+    if structure.has_mediator:
+        pairs = []
+        for _ in range(strata):
+            m0, m1 = _interior(rng), _interior(rng)
+            if m0 < 0.0 or m1 < 0.0:
+                return None
+            pairs.append((m0, m1))
+        mediator = tuple(pairs)
 
-    strata = rng.randint(2, max_strata)
-    raw = [rng.random() for _ in range(strata)]
-    total = sum(raw)
-    if total <= 0.0:
-        return None
-    prior = tuple(w / total for w in raw)
-    if min(prior) < MIN_MASS:
-        return None
-    exposure = tuple(rng.random() for _ in range(strata))
-    if any(not MIN_MASS <= e <= 1.0 - MIN_MASS for e in exposure):
-        return None
-    p_e1 = sum(p * e for p, e in zip(prior, exposure))
-    if not MIN_MASS <= p_e1 <= 1.0 - MIN_MASS:
-        return None
-    weights = [p * e / p_e1 for p, e in zip(prior, exposure)]
-    if min(weights) < MIN_MASS:
-        return None
-
-    if structure is Structure.COVARIATE:
-        response = tuple((rng.random(), rng.random()) for _ in range(strata))
-        denominator = sum(w * pair[1] for w, pair in zip(weights, response))
-        if denominator < MIN_MASS:
-            return None
-        return Scenario(structure, response, None, exposure, prior)
-
-    mediator = []
-    for _ in range(strata):
-        m0, m1 = _interior(rng), _interior(rng)
-        if m0 < 0.0 or m1 < 0.0:
-            return None
-        mediator.append((m0, m1))
     response = tuple((rng.random(), rng.random()) for _ in range(strata))
-    denominator = sum(
-        w * chain_response(m_pair, r_pair, 1)
-        for w, m_pair, r_pair in zip(weights, mediator, response)
-    )
-    if denominator < MIN_MASS:
+    if mediator is None:
+        rows1 = [pair[1] for pair in response]
+    else:
+        rows1 = [chain_response(m_pair, r_pair, 1) for m_pair, r_pair in zip(mediator, response)]
+    if sum(w * r1 for w, r1 in zip(weights, rows1)) < MIN_MASS:
         return None
-    return Scenario(structure, response, tuple(mediator), exposure, prior)
+    return Scenario(structure, response, mediator, exposure, prior)

@@ -38,8 +38,8 @@ from .errors import ScenarioFormatError
 
 Pair = tuple[float, float]
 
-# slack for range and simplex checks; inputs failing by more are rejected,
-# never renormalized
+# an entry this close outside [0, 1] is stored as the nearest end, and a prior
+# sum this close to 1 passes; inputs failing by more are rejected, never renormalized
 PROBABILITY_TOLERANCE = 1e-9
 
 
@@ -87,7 +87,44 @@ class AnalysisMode(str, enum.Enum):
         return self in (AnalysisMode.IGNORE_COVARIATE, AnalysisMode.IGNORE_BOTH)
 
 
-class Scenario(NamedTuple):
+class _ScenarioFields(NamedTuple):
+    structure: Structure
+    response: tuple[Pair, ...]
+    mediator: tuple[Pair, ...] | None = None
+    exposure: tuple[float, ...] | None = None
+    covariate_prior: tuple[float, ...] | None = None
+
+
+def _nearest_probability(value: Any) -> Any:
+    """A float within PROBABILITY_TOLERANCE outside [0, 1] as the nearest end; any other value as given."""
+    if not isinstance(value, float) or 0.0 <= value <= 1.0:
+        return value
+    return float(value > 0.0) if -PROBABILITY_TOLERANCE <= value <= 1.0 + PROBABILITY_TOLERANCE else value
+
+
+def _inside_unit_interval(table: tuple) -> bool:
+    """Whether every entry, or every entry of every pair, is a number in [0, 1]."""
+    try:
+        for entry in table:
+            for value in entry if isinstance(entry, tuple) else (entry,):
+                if not 0.0 <= value <= 1.0:
+                    return False
+    except TypeError:  # a string, None or list entry
+        return False
+    return True
+
+
+def _stored_table(table: Any) -> Any:
+    """Each entry, or each entry of each pair, as `_nearest_probability` stores it; a non-tuple as given."""
+    if not isinstance(table, tuple) or _inside_unit_interval(table):
+        return table
+    return tuple(
+        tuple(map(_nearest_probability, entry)) if isinstance(entry, tuple) else _nearest_probability(entry)
+        for entry in table
+    )
+
+
+class Scenario(_ScenarioFields):
     """One observable law, stored as K strata (K = 1 when S is absent).
 
     Field shapes, each tuple indexed by the stratum s:
@@ -101,13 +138,18 @@ class Scenario(NamedTuple):
     - covariate_prior: K entries P(S=s), present exactly when S is.
 
     For example `Scenario(Structure.BASIC, response=((0.12, 0.3),))`.
+
+    Building one, or `_replace`, stores a float within PROBABILITY_TOLERANCE
+    outside [0, 1] as the nearest end, so every method reads probabilities;
+    any other value is stored as given, for `validate_scenario` to report.
     """
 
-    structure: Structure
-    response: tuple[Pair, ...]
-    mediator: tuple[Pair, ...] | None = None
-    exposure: tuple[float, ...] | None = None
-    covariate_prior: tuple[float, ...] | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs) -> Scenario:
+        fields = _ScenarioFields(*args, **kwargs)
+        return super().__new__(cls, fields.structure, *map(_stored_table, fields[1:]))
 
     @property
     def n_strata(self) -> int:
@@ -119,14 +161,14 @@ def _is_probability_like(value: Any) -> bool:
 
 
 def _entry_fault(value: Any) -> str | None:
-    """What is wrong with one table entry, None when it is a probability within tolerance.
+    """What is wrong with one table entry, None when it is a probability.
 
     Callers name the entry only when there is a fault, so a valid table
     costs no message formatting.
     """
     if not _is_probability_like(value):
         return f"expected a number, found {value!r}"
-    if not -PROBABILITY_TOLERANCE <= value <= 1.0 + PROBABILITY_TOLERANCE:
+    if not 0.0 <= value <= 1.0:
         return f"value {value!r} outside [0, 1]"
     return None
 
@@ -148,10 +190,11 @@ def _check_pair(violations: list[str], name: str, var: str, value: Any, stratum:
 def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
     """Check shapes and probability ranges; return violations, empty if ok.
 
-    Every entry of every table must lie in [0, 1] and the covariate prior
-    must sum to 1, both within 1e-9.  Tables must match the declared
-    structure exactly: no missing strata, no extra ones, nothing present
-    that the structure does not define.
+    Every entry of every table must lie in [0, 1] (a Scenario stores an
+    entry within 1e-9 outside as the nearest end) and the covariate prior
+    must sum to 1 within 1e-9.  Tables must match the declared structure
+    exactly: no missing strata, no extra ones, nothing present that the
+    structure does not define.
     """
     v: list[str] = []
     if not isinstance(scenario.structure, Structure):
@@ -210,17 +253,6 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
     response_var = "M" if st.has_mediator else "E"
     check_table("response", scenario.response, response_var)
     return tuple(v)
-
-
-def clamp_scenario(scenario: Scenario) -> Scenario:
-    """Clamp the tolerance overshoot that validation admits, so both methods read the same tables."""
-
-    def clamp(value: Any) -> Any:
-        if isinstance(value, tuple):
-            return tuple(map(clamp, value))
-        return value if value is None or 0.0 <= value <= 1.0 else min(1.0, max(0.0, value))
-
-    return Scenario(scenario.structure, *map(clamp, scenario[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from causabound import (
     applicable_modes,
     compute_intervals,
     derive_observables,
+    oracle_bounds,
+    pc_bounds,
     run_audit,
     scenario_from_dict,
     validate_scenario,
@@ -40,8 +42,8 @@ OVERSHOOTING_MEDIATOR = {
     "mediator": {"E=0": 0.2, "E=1": 0.8},
     "response": {"M=0": 0.2, "M=1": 0.5},
 }
-# valid within the tolerance, but the ignore-* collapses amplify the
-# overshoot to P(R=1|E=1) = -3.6e-9 before clamping
+# valid within the tolerance; read as given, the ignore-* collapses would
+# amplify the overshoot to P(R=1|E=1) = -3.6e-9
 AMPLIFIED_OVERSHOOT = {
     "structure": "mediator_covariate",
     "covariate_prior": [0.08755332567574442, 0.9124466743242555],
@@ -355,13 +357,21 @@ class TestAudit:
         for got, want in zip(audited + full, printed + printed[:2]):
             assert got == pytest.approx(want, abs=1e-9)
 
+    def test_library_methods_agree_on_a_validated_overshoot(self):
+        scenario = scenario_from_dict(RESPONSE_OVERSHOOT)
+        assert validate_scenario(scenario) == ()
+        closed = pc_bounds(derive_observables(scenario))
+        oracle = oracle_bounds(scenario).interval
+        assert abs(closed.lower - oracle.lower) <= 1e-9
+        assert abs(closed.upper - oracle.upper) <= 1e-9
+
     def test_amplified_overshoot_notes_stay_probabilities(self):
-        # in-process, so the entries reach the collapses without the CLI's clamp
         scenario = scenario_from_dict(AMPLIFIED_OVERSHOOT)
         for mode in applicable_modes(scenario.structure):
             observed = derive_observables(scenario, mode)
-            assert not any(re.search(r"-\d", note) for note in observed.notes), observed.notes
-        # the joint law's P(R=1|E=1) is -3.6e-9 before its clamp
+            # a minus after an "e" is an exponent's sign, as in 9.9e-301
+            assert not any(re.search(r"(?<![eE])-\d", note) for note in observed.notes), observed.notes
+        # read as given, the tables would give the joint law's P(R=1|E=1) = -3.6e-9
         note = derive_observables(scenario, AnalysisMode.IGNORE_COVARIATE).notes[-1]
         pairs = re.findall(r"P\(R=1\|E=[01]\) (\S+) vs ([^,\s]+)", note)
         assert len(pairs) == 2, note

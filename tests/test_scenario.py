@@ -177,6 +177,38 @@ class TestValidation:
         sc = Scenario(Structure.BASIC, response=((1.0 + 5e-10, 0.12),))
         assert validate_scenario(sc) == ()
 
+    @pytest.mark.parametrize(
+        "value, stored",
+        [
+            (1 + 5e-10, 1.0),
+            (-5e-10, 0.0),
+            (1 + 2e-9, 1 + 2e-9),
+            (-0.0, -0.0),
+            (float("nan"), float("nan")),
+            (True, True),
+            ("0.5", "0.5"),
+        ],
+    )
+    def test_only_a_tolerance_overshoot_is_stored_as_the_nearest_end(self, value, stored):
+        tables = dict(
+            response=((0.8, value), (0.9, 0.2)),
+            mediator=((0.1, 0.3), (value, 0.8)),
+            exposure=(0.4, value),
+            covariate_prior=(0.25, value),
+        )
+        built = Scenario(Structure.MEDIATOR_COVARIATE, **tables)
+        base = Scenario(
+            Structure.MEDIATOR_COVARIATE,
+            response=((0.8, 0.7), (0.9, 0.2)),
+            mediator=((0.1, 0.3), (0.8, 0.8)),
+            exposure=(0.4, 0.6),
+            covariate_prior=(0.25, 0.75),
+        )
+        for sc in (built, base._replace(**tables)):
+            entries = (sc.response[0][1], sc.mediator[1][0], sc.exposure[1], sc.covariate_prior[1])
+            # repr tells -0.0 from 0.0 and True from 1, and reads nan as nan
+            assert [repr(e) for e in entries] == [repr(stored)] * 4
+
     def test_tolerance_rejects_larger_overshoot(self):
         sc = Scenario(Structure.BASIC, response=((1.0 + 2e-9, 0.12),))
         assert validate_scenario(sc) != ()
@@ -189,6 +221,17 @@ class TestValidation:
             covariate_prior=(0.5 + 4e-10, 0.5),
         )
         assert validate_scenario(ok) == ()
+        # the check reads the stored prior: -5e-10 is stored as 0.0, so the sum is 1 + 1.4e-9
+        over = Scenario(
+            Structure.COVARIATE,
+            response=((0.2, 0.8), (0.8, 0.2), (0.5, 0.5)),
+            exposure=(0.8, 0.2, 0.5),
+            covariate_prior=(0.5000000014, 0.5, -5e-10),
+        )
+        assert validate_scenario(over) == ("covariate_prior: entries sum to 1.0000000014000001, not 1",)
+        # and the other way: stored as (0.999999999, 0.0), the prior sums to 1 - 1e-9
+        under = ok._replace(covariate_prior=(0.999999999, -5e-10))
+        assert validate_scenario(under) == ()
 
     def test_missing_mediator_table(self):
         sc = Scenario(Structure.MEDIATOR, response=((0.9, 0.1),))
