@@ -110,16 +110,18 @@ def _usable(p: float, event: str, consequence: str) -> float:
 def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
     """P(S=s|E=e) by Bayes' rule, (1.0,) when S is absent; raises when P(E=e) is 0 or subnormal.
 
-    P(E=e) is the sum of the joint terms the weights divide, not 1 - P(E=1-e),
-    so the weights sum to 1 within rounding however small P(E=e) is.  Both
-    the closed form and the oracle weigh their strata with this.
+    Both the closed form and the oracle weigh their strata with this.
     """
     if not scenario.structure.has_covariate:
         return (1.0,)
-    strata = zip(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
-    joint = [prior * (expo if e == 1 else 1.0 - expo) for prior, expo in strata]
-    p_e = _usable(sum(joint), f"P(E={e})", f"nothing is conditionally defined given E={e}")
-    return tuple(j / p_e for j in joint)
+    p_e1 = _exposure_marginal(scenario)
+    p_e = _usable(p_e1 if e == 1 else 1.0 - p_e1, f"P(E={e})", f"nothing is conditionally defined given E={e}")
+    out = []
+    for s in range(scenario.n_strata):
+        expo = scenario.exposure[s]  # type: ignore[index]
+        p_e_given_s = expo if e == 1 else 1.0 - expo
+        out.append(scenario.covariate_prior[s] * p_e_given_s / p_e)  # type: ignore[index]
+    return tuple(out)
 
 
 def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
@@ -197,8 +199,9 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     Only reductions the structure supports are allowed: a mode may drop M
     or S only where they exist.  Dropping both collapses S first, which
     equals dropping the structure to basic via the true joint marginals.
-    Every table a collapse builds is stored by Scenario, so it lies in
-    [0, 1] whenever the input tables do.
+    Every table a collapse builds is stored by Scenario.  Where the Bayes
+    weights lose so much to rounding that a conditional they mix lands
+    beyond the tolerance outside [0, 1], the collapse is undefined.
     """
     st = scenario.structure
     if mode.drops_mediator and not st.has_mediator:
@@ -207,11 +210,13 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
         raise InapplicableModeError(f"mode {mode.value} drops S, but structure {st.value} has no covariate")
     if mode is AnalysisMode.FULL:
         return scenario
-    if mode is AnalysisMode.IGNORE_BOTH:
-        return _collapse_to_basic(scenario)
     if mode is AnalysisMode.IGNORE_MEDIATOR:
         return _collapse_mediator(scenario)
-    return _collapse_covariate(scenario)
+    reduced = _collapse_to_basic(scenario) if mode is AnalysisMode.IGNORE_BOTH else _collapse_covariate(scenario)
+    for pair in reduced.response + (reduced.mediator or ()):
+        if not all(0.0 <= p <= 1.0 for p in pair):
+            raise UndefinedConditionalError(f"rounding swamps the Bayes weights of the {mode.value} collapse: {pair!r}")
+    return reduced
 
 
 def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> ObservableSet:

@@ -102,21 +102,9 @@ def _nearest_probability(value: Any) -> Any:
     return float(value > 0.0) if -PROBABILITY_TOLERANCE <= value <= 1.0 + PROBABILITY_TOLERANCE else value
 
 
-def _inside_unit_interval(table: tuple) -> bool:
-    """Whether every entry, or every entry of every pair, is a number in [0, 1]."""
-    try:
-        for entry in table:
-            for value in entry if isinstance(entry, tuple) else (entry,):
-                if not 0.0 <= value <= 1.0:
-                    return False
-    except TypeError:  # a string, None or list entry
-        return False
-    return True
-
-
 def _stored_table(table: Any) -> Any:
     """Each entry, or each entry of each pair, as `_nearest_probability` stores it; a non-tuple as given."""
-    if not isinstance(table, tuple) or _inside_unit_interval(table):
+    if not isinstance(table, tuple):
         return table
     return tuple(
         tuple(map(_nearest_probability, entry)) if isinstance(entry, tuple) else _nearest_probability(entry)

@@ -6,7 +6,7 @@ import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from causabound import (
     AnalysisMode,
@@ -381,6 +381,15 @@ class TestAudit:
 class TestEdgeRegionFuzz:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(doc=edge_scenario_docs())
+    # P(E=0) = 8e-10: rounding in 1 - P(E=1) pushes the collapsed P(R=1|E=0) past 1
+    @example(
+        doc={
+            "structure": "covariate",
+            "covariate_prior": [0.2, 0.8],
+            "exposure": {"S=0": 1.0, "S=1": 0.999999999},
+            "response": {"E=0,S=0": 0.0, "E=0,S=1": 1.0, "E=1,S=0": 0.0, "E=1,S=1": 1.0},
+        }
+    )
     def test_audit_both_methods_on_edge_inputs(self, tmp_path_factory, doc):
         path = tmp_path_factory.getbasetemp() / "edge.json"
         path.write_text(json.dumps(doc))

