@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .errors import UndefinedPcError
 from .observables import ObservableSet, Quad
-from .scenario import AnalysisMode
+from .scenario import AnalysisMode, ordered_sum
 
 
 class Method(str, enum.Enum):
@@ -125,16 +125,12 @@ def _mediation_cell(summary: Quad) -> float:
 def pc_bounds(observed: ObservableSet) -> PcInterval:
     """Closed-form bounds: one weighted sum over the strata of `observed`."""
     r1 = require_denominator(observed.p_r1_given_e1)
-    delta = 0.0
-    gamma = 0.0
-    for weight, (r0_s, r1_s) in zip(observed.stratum_weights, observed.stratum_response):
-        delta += weight * max(0.0, r1_s - r0_s)
-        gamma += weight * max(0.0, r1_s - (1.0 - r0_s))
+    strata = tuple(zip(observed.stratum_weights, observed.stratum_response))
+    delta = ordered_sum(w * max(0.0, r1_s - r0_s) for w, (r0_s, r1_s) in strata)
     if observed.stratum_mediator_summary is None:
+        gamma = ordered_sum(w * max(0.0, r1_s - (1.0 - r0_s)) for w, (r0_s, r1_s) in strata)
         upper = 1.0 - gamma / r1
     else:
-        cells = 0.0
-        for weight, summary in zip(observed.stratum_weights, observed.stratum_mediator_summary):
-            cells += weight * _mediation_cell(summary)
-        upper = min(1.0, cells / r1)
+        cells = zip(observed.stratum_weights, observed.stratum_mediator_summary)
+        upper = min(1.0, ordered_sum(w * _mediation_cell(summary) for w, summary in cells) / r1)
     return finish_interval(delta / r1, upper, Method.CLOSED_FORM, observed.mode, observed.notes)

@@ -114,7 +114,7 @@ def structure_for_variables(variables: tuple[str, ...]) -> Structure:
         return _STRUCTURE_BY_VARIABLES[key]
     except KeyError:
         raise ScenarioFormatError(
-            f"no structure observes exactly {set(variables) or '{}'}; need E and R, optionally M and/or S"
+            f"no structure observes exactly {sorted(set(variables), key=str)}; need E and R, optionally M and/or S"
         ) from None
 
 
@@ -194,8 +194,8 @@ def estimate_from_counts(table: ContingencyTable, structure: Structure) -> Scena
     """
     if table.variables != structure.variables:
         raise ScenarioFormatError(
-            f"counts over {set(table.variables)} cannot estimate a {structure.value} scenario"
-            f" (needs {set(structure.variables)})"
+            f"counts over {sorted(table.variables)} cannot estimate a {structure.value} scenario"
+            f" (needs {sorted(structure.variables)})"
         )
     count = _margin_counter(table)
     total = count()

@@ -14,11 +14,13 @@ law.  A note names both values where they differ.
 
 Covariate weights.  Stratum weights are posteriors by Bayes' rule,
     P(S=s|E=e) = P(S=s) P(E=e|S=s) / P(E=e),
-with P(E=e) = sum_s P(S=s) P(E=e|S=s).  A zero P(E=e) makes the weights,
-and everything conditioned on E=e, undefined; so does a subnormal one,
-whose products have underflowed.  Without S the one stratum has weight 1.
-`stratum_posterior` is the only place these weights are computed; the
-oracle reads them from it too.
+with P(E=e) = sum_s P(S=s) P(E=e|S=s) for either e: the weights are their
+joint terms over the sum of those terms, so they add up to 1.  A zero
+P(E=e) makes the weights, and everything conditioned on E=e, undefined; so
+does a subnormal one, whose products have underflowed.  Without S the one
+stratum has weight 1.  `stratum_posterior` is the only place these weights
+are computed, and the oracle reads them from it too; P(S=s|M=m) comes from
+the same Bayes rule.  Every float total is `ordered_sum`'s left-to-right one.
 
 Collapses.  Ignoring a variable means marginalizing it out of the tables
 the analyst keeps: dropping S mixes strata with the posterior weights
@@ -36,7 +38,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InapplicableModeError, UndefinedConditionalError
-from .scenario import AnalysisMode, Pair, Scenario, Structure
+from .scenario import AnalysisMode, Pair, Scenario, Structure, ordered_sum
 
 Quad = tuple[float, float, float, float]
 
@@ -90,14 +92,6 @@ def _risk_ratio(p1: float, p0: float | None) -> tuple[float | None, tuple[str, .
     return None, ("P(R=1|E=1) = P(R=1|E=0) = 0: risk ratio undefined",)
 
 
-def _exposure_marginal(scenario: Scenario) -> float:
-    """P(E=1) under the scenario's joint law (covariate structures)."""
-    return sum(
-        scenario.covariate_prior[s] * scenario.exposure[s]  # type: ignore[index]
-        for s in range(scenario.n_strata)
-    )
-
-
 def _usable(p: float, event: str, consequence: str) -> float:
     """Return a Bayes denominator as is; raise below the floor of `bounds.require_denominator`."""
     if p <= 0.0:
@@ -107,6 +101,12 @@ def _usable(p: float, event: str, consequence: str) -> float:
     return p
 
 
+def _posterior(joint: list[float], event: str, consequence: str) -> tuple[float, ...]:
+    """Bayes' rule: the joint terms P(S=s) P(X=x|S=s) over their sum P(X=x), which `_usable` checks."""
+    total = _usable(ordered_sum(joint), event, consequence)
+    return tuple(j / total for j in joint)
+
+
 def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
     """P(S=s|E=e) by Bayes' rule, (1.0,) when S is absent; raises when P(E=e) is 0 or subnormal.
 
@@ -114,14 +114,9 @@ def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
     """
     if not scenario.structure.has_covariate:
         return (1.0,)
-    p_e1 = _exposure_marginal(scenario)
-    p_e = _usable(p_e1 if e == 1 else 1.0 - p_e1, f"P(E={e})", f"nothing is conditionally defined given E={e}")
-    out = []
-    for s in range(scenario.n_strata):
-        expo = scenario.exposure[s]  # type: ignore[index]
-        p_e_given_s = expo if e == 1 else 1.0 - expo
-        out.append(scenario.covariate_prior[s] * p_e_given_s / p_e)  # type: ignore[index]
-    return tuple(out)
+    strata = zip(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
+    joint = [prior * (expo if e == 1 else 1.0 - expo) for prior, expo in strata]
+    return _posterior(joint, f"P(E={e})", f"nothing is conditionally defined given E={e}")
 
 
 def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
@@ -133,8 +128,7 @@ def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
         if m == 0:
             p_m_given_s = 1.0 - p_m_given_s
         joint.append(prior * p_m_given_s)
-    p_m = _usable(sum(joint), f"P(M={m})", f"the collapsed response table P(R=1|M={m}) is undefined")
-    return tuple(j / p_m for j in joint)
+    return _posterior(joint, f"P(M={m})", f"the collapsed response table P(R=1|M={m}) is undefined")
 
 
 def _response_rows(scenario: Scenario, e: int) -> tuple[float, ...]:
@@ -147,10 +141,7 @@ def _response_rows(scenario: Scenario, e: int) -> tuple[float, ...]:
 
 def _mix(weights: tuple[float, ...], values: tuple[float, ...]) -> float:
     """sum_s weights[s] values[s], added up in stratum order."""
-    total = 0.0
-    for weight, value in zip(weights, values):
-        total += weight * value
-    return total
+    return ordered_sum(weight * value for weight, value in zip(weights, values))
 
 
 def true_marginal_response(scenario: Scenario, e: int) -> float:
@@ -166,7 +157,8 @@ def true_marginal_response(scenario: Scenario, e: int) -> float:
 def _collapse_to_basic(scenario: Scenario) -> Scenario:
     """Drop everything but E and R, keeping the joint-law marginals."""
     response = (true_marginal_response(scenario, 0), true_marginal_response(scenario, 1))
-    return Scenario(Structure.BASIC, (response,), None, (_exposure_marginal(scenario),))
+    p_e1 = _mix(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
+    return Scenario(Structure.BASIC, (response,), None, (p_e1,))
 
 
 def _collapse_covariate(scenario: Scenario) -> Scenario:
@@ -174,16 +166,12 @@ def _collapse_covariate(scenario: Scenario) -> Scenario:
     if scenario.structure is Structure.COVARIATE:
         return _collapse_to_basic(scenario)
     # mediator_covariate: collapse M|E over P(S|E=e) and R|M over P(S|M=m)
-    mediator = []
-    for e in (0, 1):
-        strata = zip(stratum_posterior(scenario, e), scenario.mediator)  # type: ignore[arg-type]
-        mediator.append(sum(w * pair[e] for w, pair in strata))
-    response = []
-    for m in (0, 1):
-        strata = zip(_mediator_posterior(scenario, m), scenario.response)
-        response.append(sum(w * pair[m] for w, pair in strata))
-    p_e1 = _exposure_marginal(scenario)
-    return Scenario(Structure.MEDIATOR, (tuple(response),), (tuple(mediator),), (p_e1,))
+    columns = enumerate(zip(*scenario.mediator))  # type: ignore[arg-type]
+    mediator = tuple(_mix(stratum_posterior(scenario, e), column) for e, column in columns)
+    columns = enumerate(zip(*scenario.response))
+    response = tuple(_mix(_mediator_posterior(scenario, m), column) for m, column in columns)
+    p_e1 = _mix(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
+    return Scenario(Structure.MEDIATOR, (response,), (mediator,), (p_e1,))
 
 
 def _collapse_mediator(scenario: Scenario) -> Scenario:
@@ -238,9 +226,10 @@ def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> Observ
     p1 = _mix(weights, rows1)
     try:
         p0 = _mix(stratum_posterior(reduced, 0), rows0)
-    except UndefinedConditionalError:
+    except UndefinedConditionalError as exc:
         p0 = None
-        notes += ("P(E=0) = 0: marginal P(R=1|E=0) unavailable",)
+        # `_usable` opens its message with the value: "P(E=0) = 0" or "P(E=0) = 5e-324 is subnormal"
+        notes += (f"{str(exc).partition(':')[0]}: marginal P(R=1|E=0) unavailable",)
     rr, rr_notes = _risk_ratio(p1, p0)
     notes += rr_notes
     if mode is not AnalysisMode.FULL and st is Structure.MEDIATOR:

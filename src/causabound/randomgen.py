@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .observables import chain_response
-from .scenario import Scenario, Structure
+from .scenario import Scenario, Structure, ordered_sum
 
 MIN_MASS = 1e-3
 
@@ -45,7 +45,7 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
     if structure.has_covariate:
         strata = rng.randint(2, max_strata)
         raw = [rng.random() for _ in range(strata)]
-        total = sum(raw)
+        total = ordered_sum(raw)
         if total <= 0.0:
             return None
         prior = tuple(w / total for w in raw)
@@ -54,7 +54,7 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
         exposure = tuple(rng.random() for _ in range(strata))
         if any(not MIN_MASS <= e <= 1.0 - MIN_MASS for e in exposure):
             return None
-        p_e1 = sum(p * e for p, e in zip(prior, exposure))
+        p_e1 = ordered_sum(p * e for p, e in zip(prior, exposure))
         if not MIN_MASS <= p_e1 <= 1.0 - MIN_MASS:
             return None
         weights = [p * e / p_e1 for p, e in zip(prior, exposure)]
@@ -76,6 +76,6 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
         rows1 = [pair[1] for pair in response]
     else:
         rows1 = [chain_response(m_pair, r_pair, 1) for m_pair, r_pair in zip(mediator, response)]
-    if sum(w * r1 for w, r1 in zip(weights, rows1)) < MIN_MASS:
+    if ordered_sum(w * r1 for w, r1 in zip(weights, rows1)) < MIN_MASS:
         return None
     return Scenario(structure, response, mediator, exposure, prior)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+from collections.abc import Iterable
 from typing import Any, NamedTuple
 
 from .errors import ScenarioFormatError
@@ -41,6 +42,14 @@ Pair = tuple[float, float]
 # an entry this close outside [0, 1] is stored as the nearest end, and a prior
 # sum this close to 1 passes; inputs failing by more are rejected, never renormalized
 PROBABILITY_TOLERANCE = 1e-9
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The float total of `values`, added left to right on every Python; the builtin `sum` compensates from 3.12."""
+    total: float = 0  # the builtin's start, so a total of ints stays an int
+    for value in values:
+        total += value
+    return total
 
 
 class Structure(str, enum.Enum):
@@ -202,7 +211,7 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
                 if fault := _entry_fault(w):
                     v.append(f"covariate_prior[{s}]: {fault}")
             if all(_is_probability_like(w) for w in prior):
-                total = sum(prior)
+                total = ordered_sum(prior)
                 if abs(total - 1.0) > PROBABILITY_TOLERANCE:
                     v.append(f"covariate_prior: entries sum to {total!r}, not 1")
     elif scenario.covariate_prior is not None:

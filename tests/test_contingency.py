@@ -1,5 +1,9 @@
 """Count tables, CSV input, and maximum-likelihood estimation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from causabound import (
@@ -104,6 +108,26 @@ class TestStructureForVariables:
     def test_unknown_set_rejected(self):
         with pytest.raises(ScenarioFormatError):
             structure_for_variables(("E",))
+
+    def test_messages_name_variables_in_canonical_order_under_any_hash_seed(self):
+        # a `set` of strings would print in an order that PYTHONHASHSEED picks
+        code = (
+            "from causabound import *\n"
+            "for call in (lambda: structure_for_variables(('S', 'M', 'E')),\n"
+            "             lambda: estimate_from_counts(read_counts_csv(%r), Structure.MEDIATOR_COVARIATE)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ScenarioFormatError as exc:\n"
+            "        print(exc)\n"
+        ) % str(DATA / "basic_trial.csv")
+        expected = (
+            "no structure observes exactly ['E', 'M', 'S']; need E and R, optionally M and/or S\n"
+            "counts over ['E', 'R'] cannot estimate a mediator_covariate scenario (needs ['E', 'M', 'R', 'S'])\n"
+        )
+        for seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+            assert done.stdout == expected, f"PYTHONHASHSEED={seed}"
 
 
 class TestEstimation:

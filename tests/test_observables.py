@@ -12,6 +12,7 @@ from causabound import (
     UndefinedConditionalError,
     chain_response,
     derive_observables,
+    pc_bounds,
     reduce_scenario,
 )
 
@@ -75,18 +76,30 @@ class TestCollapses:
         assert obs.p_r1_given_e0 == pytest.approx(0.68, abs=APPROX)
         assert obs.risk_ratio == pytest.approx(1.0, abs=APPROX)
 
-    def test_rare_unexposure_makes_the_collapse_undefined(self):
-        # P(E=0) = 8e-10 taken as 1 - P(E=1) is off by 1.7e-7 relative, so the
-        # E=0 weights mix the rows to P(R=1|E=0) = 1.0000001665
+    def test_rare_unexposure_collapses_exactly(self):
+        # P(E=0) = 8e-10 summed from its joint terms: only stratum 1 is ever
+        # unexposed, so its weight given E=0 is 1 and P(R=1|E=0) is its row
         sc = Scenario(
             Structure.COVARIATE,
             response=((0.0, 0.0), (1.0, 1.0)),
             exposure=(1.0, 0.999999999),
             covariate_prior=(0.2, 0.8),
         )
-        with pytest.raises(UndefinedConditionalError, match="ignore-covariate collapse"):
-            reduce_scenario(sc, AnalysisMode.IGNORE_COVARIATE)
+        obs = derive_observables(sc, AnalysisMode.IGNORE_COVARIATE)
+        assert obs.p_r1_given_e0 == 1.0
+        assert pc_bounds(obs)[:2] == (0.0, 0.0)
         assert derive_observables(sc).p_r1_given_e1 == pytest.approx(0.8 * 0.999999999 / 0.9999999992, abs=APPROX)
+
+    def test_unexposed_weights_divide_their_own_sum(self):
+        # P(E=1) is near 1, so 1 - P(E=1) would cancel; the exact lower bound is 0.69705110681132 (Fraction)
+        sc = Scenario(
+            Structure.COVARIATE,
+            response=((0.1729207636944815, 0.5707918648403247), (0.6827188153526768, 0.17575923002317906)),
+            exposure=(0.8979318232808503, 0.0),
+            covariate_prior=(0.999999999, 1e-300),
+        )
+        lower = pc_bounds(derive_observables(sc, AnalysisMode.IGNORE_COVARIATE)).lower
+        assert lower == pytest.approx(0.69705110681132, abs=APPROX)
 
     def test_collapsed_mediator_quad(self, confounded_scenario):
         obs = derive_observables(confounded_scenario, AnalysisMode.IGNORE_COVARIATE)
@@ -226,6 +239,21 @@ class TestUndefinedConditionals:
         )
         with pytest.raises(UndefinedConditionalError, match=r"P\(M=1\) = .* is subnormal"):
             derive_observables(sc, AnalysisMode.IGNORE_COVARIATE)
+
+    def test_unavailable_unexposed_marginal_states_p_e0(self):
+        notes = {}
+        for tail in (0.0, 5e-324):
+            sc = Scenario(
+                Structure.COVARIATE,
+                response=((0.2, 0.6), (0.4, 0.3)),
+                exposure=(1.0, 0.0),
+                covariate_prior=(1.0, tail),
+            )
+            obs = derive_observables(sc)
+            assert obs.p_r1_given_e0 is None
+            notes[tail] = obs.notes
+        assert notes[0.0] == ("P(E=0) = 0: marginal P(R=1|E=0) unavailable",)
+        assert notes[5e-324] == ("P(E=0) = 5e-324 is subnormal: marginal P(R=1|E=0) unavailable",)
 
     def test_full_mode_tolerates_degenerate_exposure(self, crossover_scenario):
         # Full-mode covariate bounds condition on E=1 only; P(E=0)=0 within a
