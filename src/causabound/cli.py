@@ -9,7 +9,6 @@ undefined for the given distribution.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .audit import compute_intervals, run_audit
@@ -121,7 +120,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise ScenarioFormatError(f"estimate expects a counts .csv, got {args.input!r}")
     table = read_counts_csv(args.input)
     scenario = estimate_from_counts(table, structure_for_variables(table.variables))
-    sys.stdout.write(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    sys.stdout.write(render_json(scenario_to_dict(scenario)))
     return EXIT_OK
 
 

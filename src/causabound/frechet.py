@@ -57,6 +57,7 @@ def frechet_box(p0: float, p1: float) -> FrechetBox:
         clamped.append(min(1.0, max(0.0, p)))
     p0, p1 = clamped
     q_max = min(p0, p1)
-    # p0 + p1 - 1.0 can land one ulp above min(p0, p1) when a margin is 1.0
-    q_min = min(q_max, max(0.0, p0 + p1 - 1.0))
+    # not p0 + p1 - 1.0, whose rounded sum can lose a tiny margin: 1.0 - max is
+    # exact when max >= 1/2 (Sterbenz), and below 1/2 the limit is negative anyway
+    q_min = max(0.0, q_max - (1.0 - max(p0, p1)))
     return FrechetBox(p0, p1, q_min, q_max)

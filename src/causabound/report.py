@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
 from ._version import __version__
@@ -100,9 +100,84 @@ def report_document(
     return doc
 
 
-def render_json(doc: dict[str, Any]) -> str:
-    """`doc` as indented JSON; it must be a tree (as `report_document` and `demo_document` build), not a cyclic graph."""
-    return json.dumps(doc, indent=2, check_circular=False) + "\n"
+_INFINITY = float("inf")
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar(value: Any) -> str:
+    """The JSON text of a str, int, float, bool or None, spelled as `json.dumps` spells it."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is float:
+        if -_INFINITY < value < _INFINITY:
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write(node: dict | list | tuple, out: list[str], indent: str) -> None:
+    """Append the text of one container, opened where `out` ends and closed at `indent`."""
+    inner = indent + "  "
+    if type(node) is dict:
+        if not node:
+            out.append("{}")
+            return
+        head = "{\n" + inner
+        for key, value in node.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            kind = type(value)
+            if kind is str:
+                out.append(head + _string(key) + ": " + _string(value))
+            elif kind is dict or kind is list or kind is tuple:
+                out.append(head + _string(key) + ": ")
+                _write(value, out, inner)
+            else:
+                out.append(head + _string(key) + ": " + _scalar(value))
+            head = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        if not node:
+            out.append("[]")
+            return
+        head = "[\n" + inner
+        for value in node:
+            kind = type(value)
+            if kind is str:
+                out.append(head + _string(value))
+            elif kind is dict or kind is list or kind is tuple:
+                out.append(head)
+                _write(value, out, inner)
+            else:
+                out.append(head + _scalar(value))
+            head = ",\n" + inner
+        out.append("\n" + indent + "]")
+
+
+def render_json(doc: Any) -> str:
+    """`doc` as JSON indented by two spaces, ending in a newline.
+
+    The text is byte for byte what `json.dumps` writes with `indent=2`, plus
+    the newline, for every tree of dicts with str keys, lists, tuples, str,
+    int, float, bool and None: strings go through json's own ASCII escaper,
+    floats through `float.__repr__` with json's NaN, Infinity and -Infinity.
+    It is written in one pass into one list, where json's indented encoder
+    is pure Python.  Any other key or value type, a subclass included,
+    raises TypeError.  `doc` must be a tree (as `report_document` and
+    `demo_document` build), not a cyclic graph.
+    """
+    kind = type(doc)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return _scalar(doc) + "\n"
+    out: list[str] = []
+    _write(doc, out, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(doc: dict[str, Any]) -> str:

@@ -60,13 +60,9 @@ class Structure(str, enum.Enum):
     COVARIATE = "covariate"
     MEDIATOR_COVARIATE = "mediator_covariate"
 
-    @property
-    def has_mediator(self) -> bool:
-        return self in (Structure.MEDIATOR, Structure.MEDIATOR_COVARIATE)
-
-    @property
-    def has_covariate(self) -> bool:
-        return self in (Structure.COVARIATE, Structure.MEDIATOR_COVARIATE)
+    def __init__(self, value: str) -> None:
+        self.has_mediator = value in ("mediator", "mediator_covariate")
+        self.has_covariate = value in ("covariate", "mediator_covariate")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -87,13 +83,9 @@ class AnalysisMode(str, enum.Enum):
     IGNORE_COVARIATE = "ignore-covariate"
     IGNORE_BOTH = "ignore-both"
 
-    @property
-    def drops_mediator(self) -> bool:
-        return self in (AnalysisMode.IGNORE_MEDIATOR, AnalysisMode.IGNORE_BOTH)
-
-    @property
-    def drops_covariate(self) -> bool:
-        return self in (AnalysisMode.IGNORE_COVARIATE, AnalysisMode.IGNORE_BOTH)
+    def __init__(self, value: str) -> None:
+        self.drops_mediator = value in ("ignore-mediator", "ignore-both")
+        self.drops_covariate = value in ("ignore-covariate", "ignore-both")
 
 
 class _ScenarioFields(NamedTuple):

@@ -96,6 +96,10 @@ SUBNORMAL_DENOMINATOR = {
     "response": {"M=0": 5e-324, "M=1": 1e-300},
 }
 
+# R(0) = 1 for everyone, so PC = 0 exactly; rounding p0 + p1 before subtracting
+# 1 lost the margin, and the oracle's Frechet box read q in [0, 1e-300]
+CERTAIN_UNEXPOSED_RESPONSE = {"structure": "basic", "response": {"E=0": 1.0, "E=1": 1e-300}}
+
 # P(S=s) P(E=1|S=s) underflows: P(E=1) = 5e-324, and the weights read (1, 0)
 # instead of (0.79, 0.21)
 SUBNORMAL_EXPOSURE = {
@@ -294,6 +298,17 @@ class TestBound:
         assert out == ""
         assert "Traceback" not in err
         assert "subnormal" in err
+
+    def test_certain_unexposed_response_gives_zero_from_both_methods(self, capsys, tmp_path):
+        # the oracle printed [0, 1] here, with exit 0
+        path = tmp_path / "certain_unexposed.json"
+        path.write_text(json.dumps(CERTAIN_UNEXPOSED_RESPONSE))
+        code, out, err = run(capsys, "bound", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        closed, oracle = json.loads(out)["intervals"]
+        assert (closed["method"], oracle["method"]) == ("closed", "oracle")
+        assert (closed["lower"], closed["upper"]) == (0.0, 0.0)
+        assert (oracle["lower"], oracle["upper"]) == (0.0, 0.0)
 
     def test_subnormal_exposure_is_undefined(self, capsys, tmp_path):
         path = tmp_path / "subnormal_exposure.json"

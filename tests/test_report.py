@@ -1,24 +1,33 @@
 """Deterministic rendering of results to JSON and CSV."""
 
+import gc
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from causabound import (
     AnalysisMode,
     Method,
     PcInterval,
+    Structure,
+    applicable_modes,
+    compute_intervals,
     derive_observables,
     digest_bytes,
     display,
     full_precision,
     pc_bounds,
+    random_scenario,
     render_csv,
     render_json,
     report_document,
     run_audit,
     scenario_from_dict,
+    scenario_to_dict,
 )
+from causabound.demo import demo_document
 
 
 class TestNumberFormatting:
@@ -126,3 +135,99 @@ class TestRenderers:
             [interval],
         )
         assert doc["intervals"][0]["notes"] == ["something notable"]
+
+
+def dumps(tree) -> str:
+    """The reference `render_json` must match byte for byte."""
+    return json.dumps(tree, indent=2) + "\n"
+
+
+# quote, backslash, controls, DEL, non-ASCII, a character outside the BMP, lone surrogates
+SPECIAL_STRINGS = ("", '"', "\\", "\x00", "\n\t\r\x08\x0c", "\x1f", "\x7f", "é", "\u2028", "\U0001f4a5", "\ud800", "\udfff")
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-7, 1e22, 0.1, float("nan"), float("inf"), float("-inf"))
+strings = st.sampled_from(SPECIAL_STRINGS) | st.text(st.characters(exclude_categories=()), max_size=6)
+scalars = (
+    strings
+    | st.sampled_from(SPECIAL_FLOATS)
+    | st.floats()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+)
+trees = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(strings, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, derandomize=True)
+    @given(trees)
+    @example({})
+    @example([])
+    @example(())
+    @example({"a": {}, "b": [], "c": [{}, [[]], ()]})
+    @example([[[{}]], {"": []}])
+    @example({"\ud800": [2**64 + 1, -(2**64), -0.0, 5e-324, True, False, None]})
+    def test_matches_json_dumps(self, tree):
+        assert render_json(tree) == dumps(tree)
+
+    @pytest.mark.parametrize("structure", list(Structure))
+    def test_report_documents_match_json_dumps(self, structure):
+        rng = random.Random(f"render:{structure.value}")
+        both = (Method.CLOSED_FORM, Method.ORACLE)
+        for _ in range(25):
+            scenario = random_scenario(rng, structure, max_strata=5)
+            digest = digest_bytes(repr(scenario).encode())
+            docs = [scenario_to_dict(scenario), report_document(scenario, digest, (), run_audit(scenario, both))]
+            for mode in applicable_modes(structure):
+                docs.append(report_document(scenario, digest, compute_intervals(scenario, mode, both)))
+            for doc in docs:
+                assert render_json(doc) == dumps(doc)
+
+    def test_demo_document_matches_json_dumps(self):
+        doc, ok = demo_document()
+        assert ok
+        assert render_json(doc) == dumps(doc)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {1: "int key"},
+            {None: "null key"},
+            {("a", "b"): 0},
+            {Structure.BASIC: "str subclass key"},
+            {"nested": [{"ok": 1}, {2.5: "float key"}]},
+            {"value": object()},
+            [b"bytes"],
+            {"value": {1, 2}},
+            [[AnalysisMode.FULL]],  # a str subclass: its `.value` belongs in a document
+            Structure.BASIC,
+            [1, True, None, 2.5, "s", complex(1, 2)],
+        ],
+    )
+    def test_other_keys_and_values_raise_type_error(self, tree):
+        with pytest.raises(TypeError):
+            render_json(tree)
+
+    def test_leaves_no_cyclic_garbage(self, confounded_scenario):
+        doc = report_document(
+            confounded_scenario,
+            digest_bytes(b"input"),
+            (),
+            run_audit(confounded_scenario, (Method.CLOSED_FORM, Method.ORACLE)),
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            render_json(doc)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
