@@ -20,13 +20,7 @@ from .audit import (
 )
 from .bounds import Method, PcInterval, pc_bounds
 from .checks import SweepReport, equivalence_sweep, render_sweep_report
-from .contingency import (
-    ContingencyTable,
-    estimate_from_counts,
-    expected_counts,
-    read_counts_csv,
-    structure_for_variables,
-)
+from .contingency import ContingencyTable, estimate_from_counts, expected_counts, read_counts_csv
 from .demo import REFERENCE_CASES, demo_document, run_demo
 from .errors import (
     CausaboundError,
@@ -109,6 +103,5 @@ __all__ = [
     "scenario_digest",
     "scenario_from_dict",
     "scenario_to_dict",
-    "structure_for_variables",
     "validate_scenario",
 ]

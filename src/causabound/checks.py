@@ -23,13 +23,6 @@ DEFAULT_SEED = 42
 DEFAULT_TRIALS = 250
 TOLERANCE = 1e-9
 
-_SWEEP_ORDER = (
-    Structure.BASIC,
-    Structure.MEDIATOR,
-    Structure.COVARIATE,
-    Structure.MEDIATOR_COVARIATE,
-)
-
 
 class StructureSweep(NamedTuple):
     """Worst disagreement seen for one structure."""
@@ -58,7 +51,7 @@ def equivalence_sweep(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) ->
     """Run the sweep: `trials` scenarios per structure from one seeded stream."""
     rng = random.Random(seed)
     results = []
-    for structure in _SWEEP_ORDER:
+    for structure in Structure:
         worst = 0.0
         worst_scenario: Scenario | None = None
         worst_endpoint = ""

@@ -14,7 +14,7 @@ import sys
 from .audit import compute_intervals, run_audit
 from .bounds import Method
 from .checks import DEFAULT_SEED, DEFAULT_TRIALS, equivalence_sweep, render_sweep_report
-from .contingency import estimate_from_counts, read_counts_csv, structure_for_variables
+from .contingency import estimate_from_counts, read_counts_csv
 from .demo import demo_document, run_demo
 from .errors import InapplicableModeError, ScenarioFormatError, UndefinedConditionalError
 from .report import digest_bytes, render_csv, render_json, report_document
@@ -87,8 +87,7 @@ def _load_input(path: str) -> tuple[Scenario, str]:
     if path.endswith(".json"):
         scenario = load_scenario(path)
     elif path.endswith(".csv"):
-        table = read_counts_csv(path)
-        scenario = estimate_from_counts(table, structure_for_variables(table.variables))
+        scenario = estimate_from_counts(read_counts_csv(path))
     else:
         raise ScenarioFormatError(f"cannot tell scenario JSON from counts CSV: {path!r}")
     violations = validate_scenario(scenario)
@@ -118,8 +117,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     if not args.input.endswith(".csv"):
         raise ScenarioFormatError(f"estimate expects a counts .csv, got {args.input!r}")
-    table = read_counts_csv(args.input)
-    scenario = estimate_from_counts(table, structure_for_variables(table.variables))
+    scenario = estimate_from_counts(read_counts_csv(args.input))
     sys.stdout.write(render_json(scenario_to_dict(scenario)))
     return EXIT_OK
 

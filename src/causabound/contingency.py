@@ -25,13 +25,6 @@ from .scenario import Scenario, Structure, decimal_int
 
 VARIABLE_ORDER = ("E", "M", "R", "S")
 
-_STRUCTURE_BY_VARIABLES = {
-    ("E", "R"): Structure.BASIC,
-    ("E", "M", "R"): Structure.MEDIATOR,
-    ("E", "R", "S"): Structure.COVARIATE,
-    ("E", "M", "R", "S"): Structure.MEDIATOR_COVARIATE,
-}
-
 
 class _TableFields(NamedTuple):
     variables: tuple[str, ...]
@@ -42,10 +35,12 @@ class _TableFields(NamedTuple):
 class ContingencyTable(_TableFields):
     """Complete integer counts over `variables` (canonical E, M, R, S order).
 
-    `levels` gives the number of values per variable: 2 for E, M, R and
-    K >= 2 for S.  `cells` pairs every assignment (same variable order) with
-    its count, sorted by assignment; coverage is total, duplicates are
-    impossible, at least one count is positive, and `_replace` checks it all.
+    The variables include E and R, so they are exactly one structure's
+    `Structure.variables`.  `levels` gives the number of values per
+    variable: 2 for E, M, R and K >= 2 for S.  `cells` pairs every
+    assignment (same variable order) with its count, sorted by assignment;
+    coverage is total, duplicates are impossible, at least one count is
+    positive, and `_replace` checks it all.
     """
 
     __slots__ = ()
@@ -55,6 +50,8 @@ class ContingencyTable(_TableFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.variables != tuple(v for v in VARIABLE_ORDER if v in self.variables):
             raise ScenarioFormatError(f"variables {self.variables} not in canonical order")
+        if not {"E", "R"} <= set(self.variables):
+            raise ScenarioFormatError("counts must include both E and R")
         expected = tuple(itertools.product(*(range(k) for k in self.levels)))
         if tuple(a for a, _ in self.cells) != expected:
             raise ScenarioFormatError("cells must cover every assignment exactly once, sorted")
@@ -70,8 +67,6 @@ class ContingencyTable(_TableFields):
         order = tuple(v for v in VARIABLE_ORDER if v in variables)
         if set(variables) != set(order) or len(variables) != len(order):
             raise ScenarioFormatError(f"variables must be a subset of {VARIABLE_ORDER} without repeats")
-        if not {"E", "R"} <= set(variables):
-            raise ScenarioFormatError("counts must include both E and R")
         perm = [variables.index(v) for v in order]
         reordered = {tuple(a[i] for i in perm): c for a, c in counts.items()}
         levels = []
@@ -107,20 +102,10 @@ class ContingencyTable(_TableFields):
         return sum(c for a, c in self.cells if all(a[i] == val for i, val in wanted))
 
 
-def structure_for_variables(variables: tuple[str, ...]) -> Structure:
-    """The structure whose variable set matches the table exactly."""
-    key = tuple(v for v in VARIABLE_ORDER if v in variables)
-    try:
-        return _STRUCTURE_BY_VARIABLES[key]
-    except KeyError:
-        raise ScenarioFormatError(
-            f"no structure observes exactly {sorted(set(variables), key=str)}; need E and R, optionally M and/or S"
-        ) from None
-
-
 def read_counts_csv(path: str) -> ContingencyTable:
     """Parse a counts CSV: variable columns then a final `count` column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: spreadsheets save "CSV UTF-8" with a byte-order mark
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             rows = list(csv.reader(fh))
         except (UnicodeDecodeError, csv.Error) as exc:
@@ -183,20 +168,17 @@ def _conditional(count_where: Callable[..., int], var: str, condition: dict[str,
     return count_where(**{var: 1, **condition}) / denominator
 
 
-def estimate_from_counts(table: ContingencyTable, structure: Structure) -> Scenario:
-    """Point-estimate a Scenario of the given structure from counts.
+def estimate_from_counts(table: ContingencyTable) -> Scenario:
+    """Point-estimate a Scenario from counts.
 
-    The table must cover exactly the structure's variables.  Every
+    The structure is the one whose `variables` are the table's: M and S
+    are present in the scenario exactly when the table has them.  Every
     conditional is the ratio of two integer margins, all summed in one pass
     over the cells; the exposure table (the marginal P(E=1) when S is
     absent) and the covariate prior come along for free, so the result
     fully determines a joint law to regenerate expected counts from.
     """
-    if table.variables != structure.variables:
-        raise ScenarioFormatError(
-            f"counts over {sorted(table.variables)} cannot estimate a {structure.value} scenario"
-            f" (needs {sorted(structure.variables)})"
-        )
+    structure = next(s for s in Structure if s.variables == table.variables)
     count = _margin_counter(table)
     total = count()
     # one condition per stratum; without S the single stratum conditions on nothing

@@ -31,7 +31,7 @@ def _cases() -> tuple[ReferenceCase, ...]:
     randomized_trial = ReferenceCase(
         "randomized-trial",
         "100 exposed vs 100 unexposed, response rates 30% and 12%",
-        estimate_from_counts(trial_counts, Structure.BASIC),
+        estimate_from_counts(trial_counts),
         ((AnalysisMode.FULL, "0.60", "1.00"),),
     )
     complete_mediation = ReferenceCase(

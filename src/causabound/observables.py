@@ -23,13 +23,14 @@ are computed, and the oracle reads them from it too; P(S=s|M=m) comes from
 the same Bayes rule.  Every float total is `ordered_sum`'s left-to-right one.
 
 Collapses.  Ignoring a variable means marginalizing it out of the tables
-the analyst keeps: dropping S mixes strata with the posterior weights
-above (given E=e for the M|E and R|E tables, given M=m for the R|M table,
-where P(S=s|M=m) comes from the joint law); dropping M replaces the
-mediator machinery with the chain marginals.  `reduce_scenario` performs
-these collapses and returns an ordinary Scenario of the smaller structure,
-so every analysis mode reuses the same downstream derivations, and the
-tolerance rule for an entry that rounding left just outside [0, 1].
+the analyst keeps: dropping M replaces the mediator machinery with the
+chain marginals; dropping S mixes strata with the posterior weights above
+(given E=e for the M|E and R|E tables, given M=m for the R|M table, where
+P(S=s|M=m) comes from the joint law).  `reduce_scenario` drops M, then S,
+so ignoring both is ignoring the mediator and then the covariate.  Each
+collapse returns an ordinary Scenario of the smaller structure, so every
+analysis mode reuses the same downstream derivations, and the tolerance
+rule for an entry that rounding left just outside [0, 1].
 """
 
 from __future__ import annotations
@@ -154,23 +155,17 @@ def true_marginal_response(scenario: Scenario, e: int) -> float:
     return _mix(stratum_posterior(scenario, e), _response_rows(scenario, e))
 
 
-def _collapse_to_basic(scenario: Scenario) -> Scenario:
-    """Drop everything but E and R, keeping the joint-law marginals."""
-    response = (true_marginal_response(scenario, 0), true_marginal_response(scenario, 1))
-    p_e1 = _mix(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
-    return Scenario(Structure.BASIC, (response,), None, (p_e1,))
-
-
 def _collapse_covariate(scenario: Scenario) -> Scenario:
-    """Marginalize S out of the tables a covariate-blind analyst keeps."""
-    if scenario.structure is Structure.COVARIATE:
-        return _collapse_to_basic(scenario)
+    """Marginalize S out of the tables a covariate-blind analyst keeps; the structure loses S."""
+    p_e1 = _mix(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
+    if not scenario.structure.has_mediator:
+        response = (true_marginal_response(scenario, 0), true_marginal_response(scenario, 1))
+        return Scenario(Structure.BASIC, (response,), None, (p_e1,))
     # mediator_covariate: collapse M|E over P(S|E=e) and R|M over P(S|M=m)
     columns = enumerate(zip(*scenario.mediator))  # type: ignore[arg-type]
     mediator = tuple(_mix(stratum_posterior(scenario, e), column) for e, column in columns)
     columns = enumerate(zip(*scenario.response))
     response = tuple(_mix(_mediator_posterior(scenario, m), column) for m, column in columns)
-    p_e1 = _mix(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
     return Scenario(Structure.MEDIATOR, (response,), (mediator,), (p_e1,))
 
 
@@ -185,22 +180,22 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     """The scenario as seen by an analyst ignoring what `mode` ignores.
 
     Only reductions the structure supports are allowed: a mode may drop M
-    or S only where they exist.  Dropping both collapses S first, which
-    equals dropping the structure to basic via the true joint marginals.
-    Every table a collapse builds is stored by Scenario.  Where the Bayes
-    weights lose so much to rounding that a conditional they mix lands
-    beyond the tolerance outside [0, 1], the collapse is undefined.
+    or S only where they exist.  A mode drops M, then S, so ignoring both
+    is ignoring the mediator and then the covariate.  Every table a
+    collapse builds is stored by Scenario.  Where the Bayes weights of the
+    covariate collapse lose so much to rounding that a conditional they mix
+    lands beyond the tolerance outside [0, 1], the collapse is undefined.
     """
     st = scenario.structure
     if mode.drops_mediator and not st.has_mediator:
         raise InapplicableModeError(f"mode {mode.value} drops M, but structure {st.value} has no mediator")
     if mode.drops_covariate and not st.has_covariate:
         raise InapplicableModeError(f"mode {mode.value} drops S, but structure {st.value} has no covariate")
-    if mode is AnalysisMode.FULL:
+    if mode.drops_mediator:
+        scenario = _collapse_mediator(scenario)
+    if not mode.drops_covariate:
         return scenario
-    if mode is AnalysisMode.IGNORE_MEDIATOR:
-        return _collapse_mediator(scenario)
-    reduced = _collapse_to_basic(scenario) if mode is AnalysisMode.IGNORE_BOTH else _collapse_covariate(scenario)
+    reduced = _collapse_covariate(scenario)
     for pair in reduced.response + (reduced.mediator or ()):
         if not all(0.0 <= p <= 1.0 for p in pair):
             raise UndefinedConditionalError(f"rounding swamps the Bayes weights of the {mode.value} collapse: {pair!r}")

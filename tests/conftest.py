@@ -2,12 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from causabound import (
-    Structure,
-    estimate_from_counts,
-    load_scenario,
-    read_counts_csv,
-)
+from causabound import estimate_from_counts, load_scenario, read_counts_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,7 +19,7 @@ def trial_counts():
 
 @pytest.fixture
 def trial_scenario(trial_counts):
-    return estimate_from_counts(trial_counts, Structure.BASIC)
+    return estimate_from_counts(trial_counts)
 
 
 @pytest.fixture

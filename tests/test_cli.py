@@ -2,6 +2,7 @@
 
 import builtins
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -171,6 +172,20 @@ class TestBound:
         assert entry["lower"] == 0.6
         assert entry["upper"] == 1.0
         assert doc["input"]["scenario"]["structure"] == "basic"
+
+    def test_counts_file_with_byte_order_mark(self, capsys, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with the UTF-8 byte-order mark
+        raw = b"\xef\xbb\xbf" + (DATA / "basic_trial.csv").read_bytes()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "bound", str(path))
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        _, plain, _ = run(capsys, "bound", TRIAL_CSV)
+        assert doc["input"]["scenario"] == json.loads(plain)["input"]["scenario"]
+        assert doc["intervals"] == json.loads(plain)["intervals"]
+        # the digest still names the bytes as given, mark included
+        assert doc["input"]["digest"] == "sha256:" + hashlib.sha256(raw).hexdigest()
 
     def test_method_both_lists_two_matching_entries(self, capsys):
         code, out, _ = run(capsys, "bound", MEDIATION_JSON, "--method", "both")

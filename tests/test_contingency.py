@@ -1,6 +1,8 @@
 """Count tables, CSV input, and maximum-likelihood estimation."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -15,7 +17,6 @@ from causabound import (
     expected_counts,
     load_scenario,
     read_counts_csv,
-    structure_for_variables,
 )
 from conftest import DATA
 
@@ -58,6 +59,15 @@ class TestTable:
                 ("E", "R"), {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
             )
 
+    @pytest.mark.parametrize("variables", [("E", "M"), ("M", "R", "S")], ids=["no-R", "no-E"])
+    def test_table_without_e_and_r_rejected(self, trial_counts, variables):
+        levels = tuple(3 if v == "S" else 2 for v in variables)
+        cells = tuple((a, 1) for a in itertools.product(*map(range, levels)))
+        with pytest.raises(ScenarioFormatError, match="counts must include both E and R"):
+            ContingencyTable(variables, levels, cells)
+        with pytest.raises(ScenarioFormatError, match="counts must include both E and R"):
+            trial_counts._replace(variables=variables, levels=levels, cells=cells)
+
     def test_csv_header_must_end_with_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("E,R,n\n1,1,30\n")
@@ -99,31 +109,30 @@ class TestTable:
 
 
 class TestStructureForVariables:
-    def test_all_four(self):
-        assert structure_for_variables(("E", "R")) is Structure.BASIC
-        assert structure_for_variables(("E", "M", "R")) is Structure.MEDIATOR
-        assert structure_for_variables(("E", "R", "S")) is Structure.COVARIATE
-        assert structure_for_variables(("E", "M", "R", "S")) is Structure.MEDIATOR_COVARIATE
+    @pytest.mark.parametrize("structure", list(Structure), ids=lambda s: s.value)
+    def test_columns_in_any_order_name_their_structure(self, tmp_path, structure):
+        columns = list(structure.variables)
+        random.Random(structure.value).shuffle(columns)
+        levels = [3 if v == "S" else 2 for v in columns]
+        rows = [",".join(map(str, a)) + f",{7 + i}" for i, a in enumerate(itertools.product(*map(range, levels)))]
+        path = tmp_path / "shuffled.csv"
+        path.write_text(",".join(columns) + ",count\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        table = read_counts_csv(path)
+        assert table.variables == structure.variables
+        assert estimate_from_counts(table).structure is structure
 
-    def test_unknown_set_rejected(self):
-        with pytest.raises(ScenarioFormatError):
-            structure_for_variables(("E",))
-
-    def test_messages_name_variables_in_canonical_order_under_any_hash_seed(self):
+    def test_messages_name_variables_in_canonical_order_under_any_hash_seed(self, tmp_path):
         # a `set` of strings would print in an order that PYTHONHASHSEED picks
+        path = tmp_path / "unknown.csv"
+        path.write_text("Z,E,Y,R,count\n0,0,0,0,1\n", encoding="utf-8")
         code = (
             "from causabound import *\n"
-            "for call in (lambda: structure_for_variables(('S', 'M', 'E')),\n"
-            "             lambda: estimate_from_counts(read_counts_csv(%r), Structure.MEDIATOR_COVARIATE)):\n"
-            "    try:\n"
-            "        call()\n"
-            "    except ScenarioFormatError as exc:\n"
-            "        print(exc)\n"
-        ) % str(DATA / "basic_trial.csv")
-        expected = (
-            "no structure observes exactly ['E', 'M', 'S']; need E and R, optionally M and/or S\n"
-            "counts over ['E', 'R'] cannot estimate a mediator_covariate scenario (needs ['E', 'M', 'R', 'S'])\n"
-        )
+            "try:\n"
+            "    read_counts_csv(%r)\n"
+            "except ScenarioFormatError as exc:\n"
+            "    print(exc)\n"
+        ) % str(path)
+        expected = "unknown variables in header: ['Y', 'Z']\n"
         for seed in range(6):
             env = {**os.environ, "PYTHONHASHSEED": str(seed)}
             done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
@@ -141,24 +150,18 @@ class TestEstimation:
             trial_counts.variables,
             {a: 2 * c for a, c in trial_counts.cells},
         )
-        assert estimate_from_counts(doubled, Structure.BASIC) == estimate_from_counts(
-            trial_counts, Structure.BASIC
-        )
+        assert estimate_from_counts(doubled) == estimate_from_counts(trial_counts)
 
     def test_one_sided_exposure_cannot_identify_response(self):
         table = ContingencyTable.from_cells(
             ("E", "R"), {(0, 0): 0, (0, 1): 0, (1, 0): 70, (1, 1): 30}
         )
         with pytest.raises(EmptyConditioningCellError):
-            estimate_from_counts(table, Structure.BASIC)
-
-    def test_structure_must_match_variables(self, trial_counts):
-        with pytest.raises(ScenarioFormatError):
-            estimate_from_counts(trial_counts, Structure.MEDIATOR)
+            estimate_from_counts(table)
 
     def test_stratified_counts_reproduce_scenario_exactly(self, confounded_scenario):
         table = read_counts_csv(DATA / "mediated_confounding_counts.csv")
-        est = estimate_from_counts(table, structure_for_variables(table.variables))
+        est = estimate_from_counts(table)
         assert est == confounded_scenario
 
     def test_response_given_mediator_pools_over_exposure(self):
@@ -173,7 +176,7 @@ class TestEstimation:
                 (1, 1, 0): 18, (1, 1, 1): 54,   # E=1, M=1: R rate 0.75
             },
         )
-        est = estimate_from_counts(table, Structure.MEDIATOR)
+        est = estimate_from_counts(table)
         assert est.response == ((12 / 48, 69 / 92),)
         assert est.mediator == ((20 / 60, 72 / 80),)
 
@@ -188,18 +191,18 @@ class TestEstimation:
             },
         )
         with pytest.raises(EmptyConditioningCellError):
-            estimate_from_counts(table, Structure.MEDIATOR)
+            estimate_from_counts(table)
 
     def test_empty_exposed_stratum_is_named(self):
         table = ContingencyTable.from_cells(("E", "M", "R", "S"), EMPTY_EXPOSED_STRATUM)
         with pytest.raises(EmptyConditioningCellError) as caught:
-            estimate_from_counts(table, Structure.MEDIATOR_COVARIATE)
+            estimate_from_counts(table)
         assert str(caught.value) == "no observations with E=1,S=1; P(M=1|E=1,S=1) is 0/0"
 
 
 class TestExpectedCounts:
     def test_saturated_fit_reproduces_the_table(self, trial_counts):
-        est = estimate_from_counts(trial_counts, Structure.BASIC)
+        est = estimate_from_counts(trial_counts)
         fitted = expected_counts(est, trial_counts.total)
         for assignment, count in trial_counts.cells:
             assert fitted[assignment] == pytest.approx(count, abs=1e-9)
@@ -207,7 +210,7 @@ class TestExpectedCounts:
 
     def test_model_consistent_stratified_fit_reproduces_the_table(self):
         table = read_counts_csv(DATA / "mediated_confounding_counts.csv")
-        est = estimate_from_counts(table, Structure.MEDIATOR_COVARIATE)
+        est = estimate_from_counts(table)
         fitted = expected_counts(est, table.total)
         assert set(fitted) == {a for a, _ in table.cells}
         for assignment, count in table.cells:

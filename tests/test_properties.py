@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from causabound import (
     AnalysisMode,
+    CausaboundError,
     ContingencyTable,
     EmptyConditioningCellError,
     Method,
@@ -32,6 +33,7 @@ from causabound import (
     validate_scenario,
 )
 from causabound.bounds import finish_interval
+from causabound.scenario import ordered_sum
 
 # the corner maximum of this scenario is 1 + 1 ulp before the clamp
 OVERSHOOTING_MEDIATOR = Scenario(Structure.MEDIATOR, response=((0.2, 0.5),), mediator=((0.2, 0.8),))
@@ -178,6 +180,41 @@ def test_identical_strata_collapse_exactly_with_even_prior(row, exposure):
     assert collapsed.p_r1_given_e1 == row[1]
 
 
+edge_probs = st.sampled_from((0.0, 1.0, 1e-300, 5e-324)) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def edge_mediator_covariate_scenarios(draw):
+    """A mediator_covariate scenario, K = 2 to 4, whose entries are often 0, 1, 1e-300 or 5e-324."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    raw = draw(st.lists(st.sampled_from((0.0, 1.0)) | st.floats(0.05, 1.0), min_size=k, max_size=k))
+    assume(any(raw))
+    return Scenario(
+        Structure.MEDIATOR_COVARIATE,
+        response=tuple(draw(st.tuples(edge_probs, edge_probs)) for _ in range(k)),
+        mediator=tuple(draw(st.tuples(edge_probs, edge_probs)) for _ in range(k)),
+        exposure=tuple(draw(edge_probs) for _ in range(k)),
+        covariate_prior=tuple(w / ordered_sum(raw) for w in raw),
+    )
+
+
+def _reduced_or_error_type(scenario, *modes):
+    try:
+        for mode in modes:
+            scenario = reduce_scenario(scenario, mode)
+    except CausaboundError as exc:
+        return type(exc)
+    return repr(scenario)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(edge_mediator_covariate_scenarios())
+def test_ignoring_both_is_ignoring_the_mediator_then_the_covariate(scenario):
+    both = _reduced_or_error_type(scenario, AnalysisMode.IGNORE_BOTH)
+    composed = _reduced_or_error_type(scenario, AnalysisMode.IGNORE_MEDIATOR, AnalysisMode.IGNORE_COVARIATE)
+    assert both == composed
+
+
 @settings(max_examples=50)
 @given(st.tuples(*[st.integers(min_value=1, max_value=400)] * 4))
 def test_saturated_estimation_reproduces_counts(cells):
@@ -185,7 +222,7 @@ def test_saturated_estimation_reproduces_counts(cells):
         ("E", "R"),
         {(0, 0): cells[0], (0, 1): cells[1], (1, 0): cells[2], (1, 1): cells[3]},
     )
-    scenario = estimate_from_counts(table, Structure.BASIC)
+    scenario = estimate_from_counts(table)
     fitted = expected_counts(scenario, table.total)
     for assignment, count in table.cells:
         assert fitted[assignment] == pytest.approx(count, abs=1e-6)
@@ -253,10 +290,10 @@ def test_one_pass_estimate_equals_per_conditional_scans(table_and_structure):
     with mock.patch.object(ContingencyTable, "count_where", side_effect=scan):
         if isinstance(expected, EmptyConditioningCellError):
             with pytest.raises(EmptyConditioningCellError) as caught:
-                estimate_from_counts(table, structure)
+                estimate_from_counts(table)
             assert str(caught.value) == str(expected)
         else:
-            assert repr(estimate_from_counts(table, structure)) == repr(expected)
+            assert repr(estimate_from_counts(table)) == repr(expected)
 
 
 @given(any_scenario)
