@@ -184,17 +184,16 @@ def estimate_from_counts(table: ContingencyTable) -> Scenario:
     # one condition per stratum; without S the single stratum conditions on nothing
     strata = [{"S": s} for s in range(table.s_levels)] if structure.has_covariate else [{}]
 
-    def pairs(var: str, cond_var: str) -> tuple[tuple[float, float], ...]:
-        return tuple(
+    prior = tuple(count(**cond) / total for cond in strata) if structure.has_covariate else None
+    exposure = tuple(_conditional(count, "E", cond) for cond in strata)
+    tables = {
+        name: tuple(
             (_conditional(count, var, {cond_var: 0, **cond}), _conditional(count, var, {cond_var: 1, **cond}))
             for cond in strata
         )
-
-    prior = tuple(count(**cond) / total for cond in strata) if structure.has_covariate else None
-    exposure = tuple(_conditional(count, "E", cond) for cond in strata)
-    mediator = pairs("M", "E") if structure.has_mediator else None
-    response = pairs("R", "M" if structure.has_mediator else "E")
-    return Scenario(structure, response, mediator, exposure, prior)
+        for name, var, cond_var in structure.tables
+    }
+    return Scenario(structure, exposure=exposure, covariate_prior=prior, **tables)
 
 
 def expected_counts(scenario: Scenario, total: int) -> dict[tuple[int, ...], float]:

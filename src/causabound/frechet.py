@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scenario import PROBABILITY_TOLERANCE
+from .scenario import _nearest_probability
 
 
 class FrechetBox(NamedTuple):
@@ -46,16 +46,15 @@ class FrechetBox(NamedTuple):
 def frechet_box(p0: float, p1: float) -> FrechetBox:
     """Build the box for margins p0 = P(V(0)=1), p1 = P(V(1)=1).
 
-    Margins up to the validation tolerance outside [0, 1] are clamped; larger
-    excursions are rejected.  A Scenario's tables never need the clamp: it
-    serves callers that build margins themselves.
+    Each margin is stored as a Scenario stores a table entry: a float within
+    1e-9 outside [0, 1] becomes the nearest end, and any other value is kept
+    as given (an int or Fraction stays one, and -0.0 stays -0.0).  A margin
+    still outside [0, 1] is rejected.
     """
-    clamped = []
+    p0, p1 = _nearest_probability(p0), _nearest_probability(p1)
     for name, p in (("p0", p0), ("p1", p1)):
-        if not -PROBABILITY_TOLERANCE <= p <= 1.0 + PROBABILITY_TOLERANCE:
+        if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} = {p!r} is not a probability")
-        clamped.append(min(1.0, max(0.0, p)))
-    p0, p1 = clamped
     q_max = min(p0, p1)
     # not p0 + p1 - 1.0, whose rounded sum can lose a tiny margin: 1.0 - max is
     # exact when max >= 1/2 (Sterbenz), and below 1/2 the limit is negative anyway

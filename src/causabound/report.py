@@ -51,23 +51,18 @@ def interval_payload(interval: PcInterval) -> dict[str, Any]:
     }
 
 
+# an audit row whose mode failed: the interval row's endpoint fields, all null
+_NULL_ENDPOINTS = dict.fromkeys(("lower", "upper", "lower_display", "upper_display"))
+
+
 def audit_payload(report: AuditReport) -> dict[str, Any]:
     entries = []
     for e in report.entries:
         if e.interval is not None:
             payload = interval_payload(e.interval)
-            payload["error"] = None
         else:
-            payload = {
-                "mode": e.mode.value,
-                "method": e.method.value,
-                "lower": None,
-                "upper": None,
-                "lower_display": None,
-                "upper_display": None,
-                "notes": [],
-                "error": e.error,
-            }
+            payload = {"mode": e.mode.value, "method": e.method.value, **_NULL_ENDPOINTS, "notes": []}
+        payload["error"] = e.error
         entries.append(payload)
     return {
         "methods": [m.value for m in report.methods],

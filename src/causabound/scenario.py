@@ -10,9 +10,11 @@ a covariate S with K >= 2 levels.  Four structures are supported:
     mediator_covariate  prior P(S=s), tables P(E=1|S=s), P(M=1|E=e,S=s),
                         P(R=1|M=m,S=s)
 
-All tables hold conditional probabilities of the indexed variable being 1.
-Mediator structures carry no direct E -> R edge: R depends on E only
-through M (within a stratum, where S is present).
+All tables hold conditional probabilities of the indexed variable being 1;
+a structure lists its pair tables in `Structure.tables`, which every
+reader, writer and check of them follows.  Mediator structures carry no
+direct E -> R edge: R depends on E only through M (within a stratum, where
+S is present).
 
 Every table is stored as K strata of pairs.  A structure without S is the
 single stratum K = 1: its response table is the 1-tuple ((r0, r1),), not
@@ -32,6 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 from collections.abc import Iterable
 from typing import Any, NamedTuple
 
@@ -63,6 +66,10 @@ class Structure(str, enum.Enum):
     def __init__(self, value: str) -> None:
         self.has_mediator = value in ("mediator", "mediator_covariate")
         self.has_covariate = value in ("covariate", "mediator_covariate")
+        # per pair table: its field, the variable it gives P(.=1) of, and the one it conditions on besides S
+        self.tables = (
+            (("mediator", "M", "E"), ("response", "R", "M")) if self.has_mediator else (("response", "R", "E"),)
+        )
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -149,6 +156,14 @@ def _is_probability_like(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _as_float(value: int | float) -> float:
+    """A JSON number as a float; an int past the float range is +-inf, as `json` reads 1e400."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _entry_fault(value: Any) -> str | None:
     """What is wrong with one table entry, None when it is a probability.
 
@@ -231,16 +246,14 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
         for s, pair in enumerate(table):
             _check_pair(v, name, var, pair, stratum(s))
 
-    if st.has_mediator:
-        if scenario.mediator is None:
+    if not st.has_mediator and scenario.mediator is not None:
+        v.append(f"mediator: not defined for structure {st.value}")
+    for name, _, cond_var in st.tables:
+        table = getattr(scenario, name)
+        if table is None and name == "mediator":
             v.append("mediator: required for this structure")
         else:
-            check_table("mediator", scenario.mediator, "E")
-    elif scenario.mediator is not None:
-        v.append(f"mediator: not defined for structure {st.value}")
-
-    response_var = "M" if st.has_mediator else "E"
-    check_table("response", scenario.response, response_var)
+            check_table(name, table, cond_var)
     return tuple(v)
 
 
@@ -289,10 +302,12 @@ def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[i
 
 @functools.lru_cache(maxsize=32)
 def _canonical_conditions(var_levels: tuple[tuple[str, int], ...]) -> dict[str, tuple[int, ...]]:
-    """Every in-range assignment under its canonical key, as `scenario_to_dict` writes it ("E=0,S=1").
+    """Every in-range assignment under its canonical key ("E=0,S=1"), in the order the writer lists them.
 
-    Cached by table shape, so the dict is shared and must not be changed;
-    32 shapes hold every table of the K <= 8 scenarios a sweep draws.
+    The only spelling: `scenario_to_dict` zips these keys with a table's
+    entries and `_table_from_json` looks keys up here.  Cached by table
+    shape, so the dict is shared and must not be changed; 32 shapes hold
+    every table of the K <= 8 scenarios a sweep draws.
     """
     spellings: list[tuple[str, tuple[int, ...]]] = [("", ())]
     for var, levels in var_levels:
@@ -328,7 +343,10 @@ def _table_from_json(obj: Any, label: str, var_levels: dict[str, int]) -> dict[t
             raise ScenarioFormatError(f"{label}: duplicate condition {key!r}")
         if not _is_probability_like(value):
             raise ScenarioFormatError(f"{label}: value for {key!r} is not a number")
-        table[assignment] = float(value)
+        try:
+            table[assignment] = float(value)
+        except OverflowError:  # only an int past the float range; the valid path makes no extra call
+            table[assignment] = _as_float(value)
     if len(table) != len(canonical):
         raise ScenarioFormatError(f"{label}: expected {len(canonical)} entries, found {len(table)}")
     return table
@@ -350,10 +368,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
             f"structure: expected one of {[s.value for s in Structure]}, found {doc.get('structure')!r}"
         ) from None
 
-    allowed = {"structure", "response"}
-    if structure.has_mediator:
-        allowed.add("mediator")
-    allowed.add("exposure")
+    allowed = {"structure", "exposure", *(name for name, _, _ in structure.tables)}
     if structure.has_covariate:
         allowed.add("covariate_prior")
     extra = set(doc) - allowed
@@ -368,18 +383,16 @@ def scenario_from_dict(doc: Any) -> Scenario:
             raise ScenarioFormatError("covariate_prior: expected an array of at least 2 weights")
         if not all(_is_probability_like(w) for w in raw_prior):
             raise ScenarioFormatError("covariate_prior: entries must be numbers")
-        prior = tuple(float(w) for w in raw_prior)
+        prior = tuple(map(_as_float, raw_prior))
         strata = len(prior)
     # the S part of each stratum's condition key; S is not a key without a covariate
     s_levels = {"S": strata} if structure.has_covariate else {}
     s_keys = tuple((s,) for s in range(strata)) if structure.has_covariate else ((),)
 
-    def pairs_by_stratum(label: str, cond_var: str) -> tuple[Pair, ...]:
-        table = _table_from_json(doc.get(label), label, {cond_var: 2, **s_levels})
-        return tuple((table[(0, *s)], table[(1, *s)]) for s in s_keys)
-
-    mediator = pairs_by_stratum("mediator", "E") if structure.has_mediator else None
-    response = pairs_by_stratum("response", "M" if structure.has_mediator else "E")
+    tables: dict[str, tuple[Pair, ...]] = {}
+    for name, _, cond_var in structure.tables:
+        table = _table_from_json(doc.get(name), name, {cond_var: 2, **s_levels})
+        tables[name] = tuple((table[(0, *s)], table[(1, *s)]) for s in s_keys)
 
     raw = doc.get("exposure")
     exposure: tuple[float, ...] | None
@@ -389,36 +402,27 @@ def scenario_from_dict(doc: Any) -> Scenario:
     elif raw is None:
         exposure = None
     elif _is_probability_like(raw):
-        exposure = (float(raw),)
+        exposure = (_as_float(raw),)
     else:
         raise ScenarioFormatError("exposure: expected a bare number for this structure")
 
-    return Scenario(
-        structure=structure,
-        response=response,
-        mediator=mediator,
-        exposure=exposure,
-        covariate_prior=prior,
-    )
+    return Scenario(structure=structure, exposure=exposure, covariate_prior=prior, **tables)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Canonical JSON object form; `scenario_from_dict` inverts it exactly."""
     st = scenario.structure
     doc: dict[str, Any] = {"structure": st.value}
+    s_levels = (("S", scenario.n_strata),) if st.has_covariate else ()
     if st.has_covariate:
         doc["covariate_prior"] = list(scenario.covariate_prior or ())
-        doc["exposure"] = {f"S={s}": p for s, p in enumerate(scenario.exposure)}  # type: ignore[arg-type]
+        doc["exposure"] = dict(zip(_canonical_conditions(s_levels), scenario.exposure))  # type: ignore[arg-type]
     elif scenario.exposure is not None:
         doc["exposure"] = scenario.exposure[0]
-    suffixes = [f",S={s}" for s in range(scenario.n_strata)] if st.has_covariate else [""]
-
-    def table_doc(table: tuple[Pair, ...], var: str) -> dict[str, float]:
-        return {f"{var}={v}{suffix}": pair[v] for v in (0, 1) for suffix, pair in zip(suffixes, table)}
-
-    if st.has_mediator:
-        doc["mediator"] = table_doc(scenario.mediator, "E")  # type: ignore[arg-type]
-    doc["response"] = table_doc(scenario.response, "M" if st.has_mediator else "E")
+    for name, _, cond_var in st.tables:
+        pairs = getattr(scenario, name)
+        keys = _canonical_conditions(((cond_var, 2), *s_levels))
+        doc[name] = dict(zip(keys, (pair[v] for v in (0, 1) for pair in pairs)))
     return doc
 
 

@@ -129,6 +129,16 @@ MALFORMED_INPUTS = {
     "arabic_indic_count.csv": "E,R,count\n0,0,\u0661\u0662\n0,1,12\n1,0,70\n1,1,30\n".encode(),
 }
 
+# integers `json` accepts but no float holds: read as +-inf, as `json` reads 1e400,
+# so validation rejects them; 401 digits is far under Python's 4,300-digit limit
+HUGE = b"1" + b"0" * 400
+OVER_RANGE_INTEGERS = {
+    "response_entry.json": b'{"structure": "basic", "response": {"E=0": ' + HUGE + b', "E=1": 0.3}}',
+    "bare_exposure.json": b'{"structure": "basic", "exposure": -' + HUGE + b', "response": {"E=0": 0.1, "E=1": 0.3}}',
+    "covariate_prior.json": b'{"structure": "covariate", "covariate_prior": [' + HUGE + b', 0.5], '
+    b'"exposure": {"S=0": 0.5, "S=1": 0.5}, "response": {"E=0,S=0": 0.1, "E=1,S=0": 0.3, "E=0,S=1": 0.1, "E=1,S=1": 0.3}}',
+}
+
 # exact ends, signed zero, subnormals, and overshoot inside the 1e-9 tolerance
 EDGE_VALUES = (0.0, 1.0, -0.0, 1e-300, 5e-324, -5e-10, 1.0 + 5e-10, 1e-9, 1.0 - 1e-9)
 edge_entries = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=0.0, max_value=1.0))
@@ -235,6 +245,17 @@ class TestBound:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("causabound: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(OVER_RANGE_INTEGERS))
+    def test_integer_past_the_float_range_is_a_validation_error(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(OVER_RANGE_INTEGERS[name])
+        code, out, err = run(capsys, "bound", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("causabound: invalid scenario:\n")
+        assert re.search(r": value -?inf outside \[0, 1\]\n", err)
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bound", "no_such_file.json")

@@ -1,8 +1,10 @@
 """Feasible joint distributions of the two potential responses."""
 
+from fractions import Fraction
+
 import pytest
 
-from causabound import FrechetBox, frechet_box
+from causabound import FrechetBox, Scenario, Structure, frechet_box
 
 
 def test_bounds_on_the_overlap_mass():
@@ -79,6 +81,10 @@ def test_tiny_overshoot_is_clamped_into_a_valid_box():
     box = frechet_box(1.0 + 5e-10, 0.3)
     assert box.q_max <= min(box.p0, box.p1) + 1e-9
     assert box.q_min <= box.q_max
+    # the margins are stored exactly as a Scenario stores a table entry
+    for p in (-5e-10, 1.0 + 5e-10, -0.0, Fraction(0)):
+        stored = Scenario(Structure.BASIC, ((p, 0.3),)).response[0]
+        assert repr(frechet_box(p, 0.3)[:2]) == repr(stored)
 
 
 def test_box_is_immutable():

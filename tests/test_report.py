@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from causabound import (
     AnalysisMode,
+    AuditEntry,
+    AuditReport,
     Method,
     PcInterval,
     Structure,
@@ -28,6 +30,7 @@ from causabound import (
     scenario_to_dict,
 )
 from causabound.demo import demo_document
+from causabound.report import audit_payload
 
 
 class TestNumberFormatting:
@@ -81,6 +84,24 @@ class TestReportDocument:
         for entry in doc["intervals"]:
             assert entry["lower_display"] == display(entry["lower"])
             assert entry["upper_display"] == display(entry["upper"])
+
+    def test_error_rows_have_the_interval_row_fields(self):
+        method = Method.CLOSED_FORM
+        entries = (
+            AuditEntry(AnalysisMode.FULL, method, PcInterval(0.1, 0.2, method, AnalysisMode.FULL, notes=("n",))),
+            AuditEntry(AnalysisMode.IGNORE_MEDIATOR, method, None, "P(R=1|E=1) is 0"),
+            AuditEntry(AnalysisMode.IGNORE_COVARIATE, method, None, "P(E=1) is 0"),
+        )
+        report = AuditReport(Structure.MEDIATOR_COVARIATE, (method,), entries, ((None,) * 3,) * 3, False)
+        row, failed, other = audit_payload(report)["entries"]
+        assert row["error"] is None
+        assert list(failed) == list(row)
+        assert failed == {
+            "mode": "ignore-mediator", "method": "closed", "lower": None, "upper": None,
+            "lower_display": None, "upper_display": None, "notes": [], "error": "P(R=1|E=1) is 0",
+        }
+        # every error row gets its own notes list
+        assert failed["notes"] is not other["notes"]
 
     def test_audit_block(self, crossover_scenario):
         doc = self.build(crossover_scenario, with_audit=True)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -36,6 +37,14 @@ class TestStructure:
         assert Structure.MEDIATOR.variables == ("E", "M", "R")
         assert Structure.COVARIATE.variables == ("E", "R", "S")
         assert Structure.MEDIATOR_COVARIATE.variables == ("E", "M", "R", "S")
+
+    def test_tables(self):
+        # (field, variable given P(.=1) of, variable conditioned on besides S)
+        assert Structure.BASIC.tables == Structure.COVARIATE.tables == (("response", "R", "E"),)
+        assert Structure.MEDIATOR.tables == Structure.MEDIATOR_COVARIATE.tables == (
+            ("mediator", "M", "E"),
+            ("response", "R", "M"),
+        )
 
     def test_values_are_strings(self):
         assert Structure.BASIC.value == "basic"
@@ -436,6 +445,27 @@ class TestFormatErrors:
                     "mediator": {"E=0": 0.5, "E=1": 0.5},
                 }
             )
+
+    def test_integer_past_the_float_range_reads_as_infinity(self):
+        # json reads 1e400 as inf; an integer of 401 digits reads the same way
+        huge = 10**400
+        basic = scenario_from_dict({"structure": "basic", "exposure": -huge, "response": {"E=0": huge, "E=1": 0.3}})
+        assert basic.exposure == (-math.inf,)
+        assert basic.response == ((math.inf, 0.3),)
+        assert validate_scenario(basic) == (
+            "exposure: value -inf outside [0, 1]",
+            "response[E=0]: value inf outside [0, 1]",
+        )
+        covariate = scenario_from_dict(
+            {
+                "structure": "covariate",
+                "covariate_prior": [huge, 0.5],
+                "exposure": {"S=0": 0.5, "S=1": 0.5},
+                "response": {"E=0,S=0": 0.1, "E=1,S=0": 0.3, "E=0,S=1": 0.1, "E=1,S=1": 0.3},
+            }
+        )
+        assert covariate.covariate_prior == (math.inf, 0.5)
+        assert validate_scenario(covariate)[0] == "covariate_prior[0]: value inf outside [0, 1]"
 
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):
