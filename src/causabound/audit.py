@@ -14,8 +14,10 @@ truth.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .bounds import Method, PcInterval, pc_bounds
@@ -44,6 +46,7 @@ def classify_relation(a: PcInterval, b: PcInterval) -> Relation:
     return Relation.OVERLAPPING
 
 
+@functools.cache
 def applicable_modes(structure: Structure) -> tuple[AnalysisMode, ...]:
     """Every mode `reduce_scenario` accepts for the structure, in enum order, so full information first.
 
@@ -133,15 +136,13 @@ def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_F
         else:
             entries.extend(AuditEntry(mode, method, iv) for method, iv in zip(methods, intervals))
     n, k = len(entries), len(methods)
-    relations = tuple(
-        tuple(
-            classify_relation(entries[i].interval, entries[j].interval)
-            if entries[i].interval is not None and entries[j].interval is not None
-            else None
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    matrix: list[list[Relation | None]] = [[None] * n for _ in range(n)]
+    # the relation is symmetric, so each unordered pair is classified once
+    for i, j in combinations_with_replacement(range(n), 2):
+        a, b = entries[i].interval, entries[j].interval
+        if a is not None and b is not None:
+            matrix[i][j] = matrix[j][i] = classify_relation(a, b)
+    relations = tuple(map(tuple, matrix))
     # the first k entries are full information, one per method; entry i's
     # method recurs every k entries
     headline = any(relations[i][j] is Relation.DISJOINT for i in range(k) for j in range(i, n, k))

@@ -97,8 +97,9 @@ def finish_interval(
     Gamma == r1) they can invert or leave [0, 1] by an ulp; a corner
     extremum over the oracle's boxes can overshoot 1 the same way.
     """
-    upper = min(1.0, max(0.0, upper))
-    lower = min(max(0.0, lower), upper)
+    zero = upper - upper  # of the endpoints' type, where 0.0 would make an exact interval float
+    upper = min(zero + 1, max(zero, upper))
+    lower = min(max(zero, lower), upper)
     return PcInterval(lower, upper, method, mode, notes)
 
 

@@ -56,7 +56,8 @@ def frechet_box(p0: float, p1: float) -> FrechetBox:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} = {p!r} is not a probability")
     q_max = min(p0, p1)
-    # not p0 + p1 - 1.0, whose rounded sum can lose a tiny margin: 1.0 - max is
+    # not p0 + p1 - 1, whose rounded sum can lose a tiny margin: 1 - max is
     # exact when max >= 1/2 (Sterbenz), and below 1/2 the limit is negative anyway
-    q_min = max(0.0, q_max - (1.0 - max(p0, p1)))
-    return FrechetBox(p0, p1, q_min, q_max)
+    q_min = q_max - (1 - max(p0, p1))
+    # x - x is a zero of x's type, where max(0.0, x) would turn a Fraction into a float
+    return FrechetBox(p0, p1, q_min if q_min > 0 else q_min - q_min, q_max)

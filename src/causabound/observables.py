@@ -24,13 +24,14 @@ the same Bayes rule.  Every float total is `ordered_sum`'s left-to-right one.
 
 Collapses.  Ignoring a variable means marginalizing it out of the tables
 the analyst keeps: dropping M replaces the mediator machinery with the
-chain marginals; dropping S mixes strata with the posterior weights above
-(given E=e for the M|E and R|E tables, given M=m for the R|M table, where
-P(S=s|M=m) comes from the joint law).  `reduce_scenario` drops M, then S,
-so ignoring both is ignoring the mediator and then the covariate.  Each
-collapse returns an ordinary Scenario of the smaller structure, so every
-analysis mode reuses the same downstream derivations, and the tolerance
-rule for an entry that rounding left just outside [0, 1].
+chain marginals; dropping S mixes column x of each table conditioned on X
+over P(S=s|X=x): the posterior weights above for X = E, and P(S=s|M=m) from
+the joint law for X = M.  `reduce_scenario` drops M, then S, so ignoring
+both is ignoring the mediator and then the covariate.  Each collapse
+returns an ordinary Scenario of the smaller structure, so every analysis
+mode reuses the same downstream derivations, and the tolerance rule for an
+entry that rounding left just outside [0, 1].  The literals are ints, so a
+`Fraction` scenario collapses exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def chain_response(mediator: Pair, response: Pair, exposure_value: int) -> float
     (P(R=1|M=0), P(R=1|M=1)).
     """
     m1 = mediator[exposure_value]
-    return response[1] * m1 + response[0] * (1.0 - m1)
+    return response[1] * m1 + response[0] * (1 - m1)
 
 
 class ObservableSet(NamedTuple):
@@ -109,14 +110,14 @@ def _posterior(joint: list[float], event: str, consequence: str) -> tuple[float,
 
 
 def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
-    """P(S=s|E=e) by Bayes' rule, (1.0,) when S is absent; raises when P(E=e) is 0 or subnormal.
+    """P(S=s|E=e) by Bayes' rule, (1,) when S is absent; raises when P(E=e) is 0 or subnormal.
 
     Both the closed form and the oracle weigh their strata with this.
     """
     if not scenario.structure.has_covariate:
-        return (1.0,)
+        return (1,)
     strata = zip(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
-    joint = [prior * (expo if e == 1 else 1.0 - expo) for prior, expo in strata]
+    joint = [prior * (expo if e == 1 else 1 - expo) for prior, expo in strata]
     return _posterior(joint, f"P(E={e})", f"nothing is conditionally defined given E={e}")
 
 
@@ -125,14 +126,14 @@ def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
     joint = []
     strata = zip(scenario.covariate_prior, scenario.exposure, scenario.mediator)  # type: ignore[arg-type]
     for prior, expo, m_pair in strata:
-        p_m_given_s = expo * m_pair[1] + (1.0 - expo) * m_pair[0]
+        p_m_given_s = expo * m_pair[1] + (1 - expo) * m_pair[0]
         if m == 0:
-            p_m_given_s = 1.0 - p_m_given_s
+            p_m_given_s = 1 - p_m_given_s
         joint.append(prior * p_m_given_s)
     return _posterior(joint, f"P(M={m})", f"the collapsed response table P(R=1|M={m}) is undefined")
 
 
-def _response_rows(scenario: Scenario, e: int) -> tuple[float, ...]:
+def response_rows(scenario: Scenario, e: int) -> tuple[float, ...]:
     """P(R=1|E=e,S=s) per stratum: the chain marginal through M where a mediator is."""
     if not scenario.structure.has_mediator:
         return tuple(pair[e] for pair in scenario.response)
@@ -152,26 +153,24 @@ def true_marginal_response(scenario: Scenario, e: int) -> float:
     P(E=e) > 0); for mediator structures each stratum's value is the chain
     marginal, as the model has no other path.
     """
-    return _mix(stratum_posterior(scenario, e), _response_rows(scenario, e))
+    return _mix(stratum_posterior(scenario, e), response_rows(scenario, e))
 
 
 def _collapse_covariate(scenario: Scenario) -> Scenario:
     """Marginalize S out of the tables a covariate-blind analyst keeps; the structure loses S."""
+    posterior = {"E": stratum_posterior, "M": _mediator_posterior}
+    tables: dict[str, tuple[Pair, ...]] = {}
+    for name, _, given in scenario.structure.tables:
+        columns = enumerate(zip(*getattr(scenario, name)))
+        tables[name] = (tuple(_mix(posterior[given](scenario, x), column) for x, column in columns),)
+    structure = Structure.MEDIATOR if scenario.structure.has_mediator else Structure.BASIC
     p_e1 = _mix(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
-    if not scenario.structure.has_mediator:
-        response = (true_marginal_response(scenario, 0), true_marginal_response(scenario, 1))
-        return Scenario(Structure.BASIC, (response,), None, (p_e1,))
-    # mediator_covariate: collapse M|E over P(S|E=e) and R|M over P(S|M=m)
-    columns = enumerate(zip(*scenario.mediator))  # type: ignore[arg-type]
-    mediator = tuple(_mix(stratum_posterior(scenario, e), column) for e, column in columns)
-    columns = enumerate(zip(*scenario.response))
-    response = tuple(_mix(_mediator_posterior(scenario, m), column) for m, column in columns)
-    return Scenario(Structure.MEDIATOR, (response,), (mediator,), (p_e1,))
+    return Scenario(structure, exposure=(p_e1,), **tables)
 
 
 def _collapse_mediator(scenario: Scenario) -> Scenario:
     """Replace the mediator tables by the chain marginals they induce, stratum by stratum."""
-    rows = [_response_rows(scenario, e) for e in (0, 1)]
+    rows = [response_rows(scenario, e) for e in (0, 1)]
     structure = Structure.COVARIATE if scenario.structure.has_covariate else Structure.BASIC
     return Scenario(structure, tuple(zip(*rows)), None, scenario.exposure, scenario.covariate_prior)
 
@@ -212,7 +211,7 @@ def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> Observ
     st = reduced.structure
     weights = stratum_posterior(reduced, 1)
     notes: tuple[str, ...] = ()
-    rows0, rows1 = _response_rows(reduced, 0), _response_rows(reduced, 1)
+    rows0, rows1 = response_rows(reduced, 0), response_rows(reduced, 1)
     quads = None
     if st.has_mediator:
         quads = tuple((*m, *r) for m, r in zip(reduced.mediator, reduced.response))  # type: ignore[arg-type]

@@ -22,23 +22,24 @@ assignments reproduces the raw extrema exactly, since the same expressions
 run in the same order.  The endpoints are those extrema after the clamp
 into [0, 1] that every method ends with (`bounds.finish_interval`), so a
 raw maximum of 1 + 1 ulp is reported as 1.  The grid scan
-('grid_scan_bounds') checks the corner argument itself: it evaluates the
-corner search's own objective on uniform grids that include the exact box
-ends, so it can never beat the corner search, at any resolution.  The
-objective is written once (`_objective`); what checks the formula itself is
-agreement with the independently derived closed form.
+('grid_scan_bounds') checks the corner argument itself: it runs the corner
+search (`_search`) on uniform grids that include the exact box ends, so it
+can never beat the corner search, at any resolution.  The search, its
+objective and its total (`ordered_sum`) are written once; what checks the
+formula itself is agreement with the independently derived closed form.
+The literals are ints, so a `Fraction` scenario gets an exact interval.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import product, starmap
+from itertools import product
 from typing import NamedTuple
 
 from .bounds import Method, PcInterval, finish_interval, require_denominator
 from .frechet import FrechetBox, frechet_box
-from .observables import chain_response, stratum_posterior
-from .scenario import AnalysisMode, Scenario
+from .observables import response_rows, stratum_posterior
+from .scenario import AnalysisMode, Scenario, ordered_sum
 
 
 class StratumBoxes(NamedTuple):
@@ -65,10 +66,8 @@ class OracleCertificate(NamedTuple):
     argmax: tuple[tuple[float, ...], ...]
 
     def objective(self, assignment: tuple[tuple[float, ...], ...]) -> float:
-        total = 0.0
-        for boxes, qs in zip(self.strata, assignment):
-            total += boxes.weight * _objective(boxes)(*qs)
-        return total / self.denominator
+        terms = (boxes.weight * _objective(boxes)(*qs) for boxes, qs in zip(self.strata, assignment))
+        return ordered_sum(terms) / self.denominator
 
 
 def _objective(boxes: StratumBoxes) -> Callable[..., float]:
@@ -106,22 +105,42 @@ def _points(boxes: StratumBoxes, axis: Callable[[FrechetBox], Sequence[float]]) 
 def scenario_boxes(scenario: Scenario) -> tuple[tuple[StratumBoxes, ...], float]:
     """The per-stratum search spaces and the PC denominator P(R=1|E=1), checked usable.
 
-    The stratum weights P(S=s|E=1) come from the same function the closed
-    form uses; the boxes and the objective are the oracle's own.
+    The stratum weights P(S=s|E=1) and the per-stratum P(R=1|E=1,S=s) come
+    from the same functions the closed form uses; the boxes and the
+    objective are the oracle's own.
     """
-    strata = []
-    denominator = 0.0
-    for s, weight in enumerate(stratum_posterior(scenario, 1)):
-        r_pair = scenario.response[s]
-        response = frechet_box(r_pair[0], r_pair[1])
-        if scenario.structure.has_mediator:
-            m_pair = scenario.mediator[s]  # type: ignore[index]
-            strata.append(StratumBoxes(weight, response, frechet_box(m_pair[0], m_pair[1])))
-            denominator += weight * chain_response(m_pair, r_pair, 1)
-        else:
-            strata.append(StratumBoxes(weight, response))
-            denominator += weight * r_pair[1]
-    return tuple(strata), require_denominator(denominator)
+    weights = stratum_posterior(scenario, 1)
+    # one box per stratum of each table, the response table first as in StratumBoxes
+    tables = reversed(scenario.structure.tables)
+    boxes = [[frechet_box(p0, p1) for p0, p1 in getattr(scenario, name)] for name, _, _ in tables]
+    strata = tuple(map(StratumBoxes, weights, *boxes))
+    denominator = ordered_sum(weight * r1 for weight, r1 in zip(weights, response_rows(scenario, 1)))
+    return strata, require_denominator(denominator)
+
+
+def _search(
+    strata: tuple[StratumBoxes, ...], axis: Callable[[FrechetBox], Sequence[float]]
+) -> tuple[float, float, tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+    """The least and greatest numerator over the points on `axis`, and the assignments attaining them.
+
+    Each stratum's points are visited in `_points` order and ties keep the
+    first visitor.  The numerator totals are the strata's extreme weighted
+    terms added in stratum order.
+    """
+    extremes = []
+    for boxes in strata:
+        objective, weight = _objective(boxes), boxes.weight
+        best_lo = best_hi = None
+        at_lo = at_hi = None
+        for qs in _points(boxes, axis):
+            value = weight * objective(*qs)
+            if best_lo is None or value < best_lo:
+                best_lo, at_lo = value, qs
+            if best_hi is None or value > best_hi:
+                best_hi, at_hi = value, qs
+        extremes.append((best_lo, best_hi, at_lo, at_hi))
+    lows, highs, argmin, argmax = zip(*extremes)  # `scenario_boxes` has required a stratum
+    return ordered_sum(lows), ordered_sum(highs), argmin, argmax
 
 
 def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) -> OracleCertificate:
@@ -132,24 +151,7 @@ def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) ->
     reported certificate is the lexicographically smallest one.
     """
     strata, denominator = scenario_boxes(scenario)
-    total_min = 0.0
-    total_max = 0.0
-    argmin = []
-    argmax = []
-    for boxes in strata:
-        objective, weight = _objective(boxes), boxes.weight
-        best_lo = best_hi = None
-        at_lo = at_hi = None
-        for qs in _points(boxes, _corners):
-            value = weight * objective(*qs)
-            if best_lo is None or value < best_lo:
-                best_lo, at_lo = value, qs
-            if best_hi is None or value > best_hi:
-                best_hi, at_hi = value, qs
-        total_min += best_lo
-        total_max += best_hi
-        argmin.append(at_lo)
-        argmax.append(at_hi)
+    total_min, total_max, argmin, argmax = _search(strata, _corners)
     interval = finish_interval(
         total_min / denominator,
         total_max / denominator,
@@ -157,7 +159,7 @@ def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) ->
         mode,
         ("corner enumeration over the potential-outcome boxes",),
     )
-    return OracleCertificate(interval, strata, denominator, tuple(argmin), tuple(argmax))
+    return OracleCertificate(interval, strata, denominator, argmin, argmax)
 
 
 def grid_scan_bounds(
@@ -172,14 +174,7 @@ def grid_scan_bounds(
     if resolution < 2:
         raise ValueError("resolution must be at least 2 to include both box ends")
     strata, denominator = scenario_boxes(scenario)
-    axis = _grid(resolution)
-    total_min = 0.0
-    total_max = 0.0
-    for boxes in strata:
-        values = list(starmap(_objective(boxes), _points(boxes, axis)))
-        # the weight is >= 0 and rounding monotone: weighting after the min/max is exact
-        total_min += boxes.weight * min(values)
-        total_max += boxes.weight * max(values)
+    total_min, total_max, _, _ = _search(strata, _grid(resolution))
     return finish_interval(
         total_min / denominator,
         total_max / denominator,

@@ -17,9 +17,9 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
 from ._version import __version__
-from .audit import AuditReport
-from .bounds import PcInterval
-from .scenario import Scenario, scenario_to_dict
+from .audit import AuditReport, Relation
+from .bounds import Method, PcInterval
+from .scenario import AnalysisMode, Scenario, scenario_to_dict
 
 FULL_PRECISION_DIGITS = 12
 DISPLAY_DECIMALS = 2
@@ -39,10 +39,14 @@ def digest_bytes(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+# each enum member's text, and None's, read once: from Python 3.11 `.value` is a Python-level property call
+_TEXT = {None: None, **{member: member.value for kind in (AnalysisMode, Method, Relation) for member in kind}}
+
+
 def interval_payload(interval: PcInterval) -> dict[str, Any]:
     return {
-        "mode": interval.mode.value,
-        "method": interval.method.value,
+        "mode": _TEXT[interval.mode],
+        "method": _TEXT[interval.method],
         "lower": full_precision(interval.lower),
         "upper": full_precision(interval.upper),
         "lower_display": display(interval.lower),
@@ -61,15 +65,13 @@ def audit_payload(report: AuditReport) -> dict[str, Any]:
         if e.interval is not None:
             payload = interval_payload(e.interval)
         else:
-            payload = {"mode": e.mode.value, "method": e.method.value, **_NULL_ENDPOINTS, "notes": []}
+            payload = {"mode": _TEXT[e.mode], "method": _TEXT[e.method], **_NULL_ENDPOINTS, "notes": []}
         payload["error"] = e.error
         entries.append(payload)
     return {
-        "methods": [m.value for m in report.methods],
+        "methods": [_TEXT[m] for m in report.methods],
         "entries": entries,
-        "relations": [
-            [None if r is None else r.value for r in row] for row in report.relations
-        ],
+        "relations": [[_TEXT[r] for r in row] for row in report.relations],
         "headline_disagreement": report.headline_disagreement,
     }
 

@@ -1,5 +1,8 @@
 """Correct-vs-biased interval comparison reports."""
 
+import json
+import random
+
 import pytest
 
 from causabound import audit as audit_module
@@ -13,8 +16,10 @@ from causabound import (
     Structure,
     applicable_modes,
     classify_relation,
+    random_scenario,
     run_audit,
     scenario_digest,
+    scenario_from_dict,
 )
 from causabound.cli import EXIT_OK, main
 from conftest import DATA
@@ -126,6 +131,37 @@ class TestRunAudit:
             assert len(report.relations[i]) == n
             for j in range(n):
                 assert report.relations[i][j] is report.relations[j][i]
+
+    def test_relation_matrix_is_the_classifier_where_rows_are_missing(self):
+        # P(E=0) = 0, so both ignore-covariate rows fail
+        doc = (
+            '{"structure":"covariate","covariate_prior":[0.5,0.5],"exposure":{"S=0":1.0,"S=1":1.0},'
+            '"response":{"E=0,S=0":0.1,"E=1,S=0":0.4,"E=0,S=1":0.2,"E=1,S=1":0.7}}'
+        )
+        rng = random.Random(15)
+        scenarios = [scenario_from_dict(json.loads(doc))]
+        scenarios += [random_scenario(rng, structure) for structure in Structure for _ in range(5)]
+        reports = [run_audit(sc, methods=(Method.CLOSED_FORM, Method.ORACLE)) for sc in scenarios]
+        assert [e.interval is None for e in reports[0].entries] == [False, False, True, True]
+        for report in reports:
+            intervals = [e.interval for e in report.entries]
+            for i, a in enumerate(intervals):
+                for j, b in enumerate(intervals):
+                    expected = None if a is None or b is None else classify_relation(a, b)
+                    assert report.relations[i][j] is expected
+
+    def test_each_entry_pair_is_classified_once(self, confounded_scenario, monkeypatch):
+        pairs = []
+
+        def counting(a, b):
+            pairs.append((a, b))
+            return classify_relation(a, b)
+
+        monkeypatch.setattr(audit_module, "classify_relation", counting)
+        report = run_audit(confounded_scenario, methods=(Method.CLOSED_FORM, Method.ORACLE))
+        n = len(report.entries)
+        assert n == 8
+        assert len(pairs) == n * (n + 1) // 2
 
     def test_mediator_structure_headline_is_always_false(self, mediation_scenario):
         report = run_audit(mediation_scenario, methods=(Method.CLOSED_FORM, Method.ORACLE))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from causabound import (
+    REFERENCE_CASES,
     AnalysisMode,
     Method,
     Scenario,
@@ -25,6 +26,13 @@ def all_fixture_runs(*scenarios):
     for sc in scenarios:
         for mode in applicable_modes(sc.structure):
             yield sc, mode
+
+
+def exact(value):
+    """A float, or a tuple of them at any depth, as Fractions; None as None."""
+    if value is None:
+        return None
+    return tuple(map(exact, value)) if isinstance(value, tuple) else Fraction(value)
 
 
 class TestOracleMatchesClosedForms:
@@ -60,6 +68,22 @@ class TestOracleMatchesClosedForms:
             assert cert.interval.lower == pytest.approx(closed.lower, abs=APPROX)
             assert cert.interval.upper == pytest.approx(closed.upper, abs=APPROX)
             assert cert.interval.mode is mode
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda case: case.name)
+    def test_fraction_scenario_gets_fraction_endpoints(self, case):
+        sc = case.scenario
+        exact_sc = Scenario(sc.structure, *map(exact, sc[1:]))
+        for mode in applicable_modes(sc.structure):
+            interval = oracle_bounds(reduce_scenario(exact_sc, mode), mode).interval
+            closed = pc_bounds(derive_observables(sc, mode))
+            oracle = oracle_bounds(reduce_scenario(sc, mode), mode).interval
+            for end in ("lower", "upper"):
+                value = getattr(interval, end)
+                assert type(value) is Fraction, (mode, end, value)
+                assert abs(value - getattr(closed, end)) <= 1e-9
+                assert abs(value - getattr(oracle, end)) <= 1e-9
 
 
 class TestCertificates:
