@@ -12,12 +12,10 @@ stratum K = 1, w = 1.  With
 
     r1    = sum_s w_s r_1s                        = P(R=1|E=1),
     Delta = sum_s w_s max{0, r_1s - r_0s},
-    Gamma = sum_s w_s max{0, r_1s - (1 - r_0s)},
 
 the bounds are
 
-    Delta / r1  <=  PC  <=  1 - Gamma / r1                  (no mediator),
-    Delta / r1  <=  PC  <=  min{1, sum_s w_s N_s / r1}      (mediator).
+    Delta / r1  <=  PC  <=  min{1, sum_s w_s N_s / r1}.
 
 Under complete mediation E -> M -> R the rows r_es are the chain marginals
 through M, and with m_e = P(M=1|E=e) and q_m = P(R=1|M=m) in stratum s,
@@ -34,11 +32,10 @@ a rare response (q ~ 1e-300) keeps its relative precision.  At a tie
 (m0 + m1 = 1 or q0 + q1 = 1) the adjacent branches coincide, so either
 gives the same N.
 
-Read at K = 1 without a mediator this is the basic family,
-max{0, 1 - 1/RR} <= PC <= min{1, P(R=0|E=0) / P(R=1|E=1)} with RR = r1/r0,
-because Delta / r1 = max{0, 1 - r0/r1} and 1 - Gamma / r1 =
-min{1, (1 - r0)/r1}.  At K = 1 with a mediator it is the mediator family:
-the same lower bound on the chain marginals and upper bound min{1, N/r1}.
+A stratum without a mediator is read as M = E (m0 = 0, m1 = 1, q_e = r_es),
+where N_s = min{r_1s, 1 - r_0s}; at K = 1 this is the basic family
+max{0, 1 - 1/RR} <= PC <= min{1, P(R=0|E=0) / P(R=1|E=1)}, RR = r1/r0.
+The literals are ints, so `Fraction` rows give `Fraction` endpoints.
 
 Every bound is sharp for its information set: richer information can only
 shrink the interval, which the audit machinery makes observable.
@@ -94,7 +91,7 @@ def finish_interval(
 
     Every method ends here.  The two ends are exact algebraically but come
     from different float expressions, so at degenerate inputs (r1 == 1, or
-    Gamma == r1) they can invert or leave [0, 1] by an ulp; a corner
+    sum_s w_s N_s == r1) they can invert or leave [0, 1] by an ulp; a corner
     extremum over the oracle's boxes can overshoot 1 the same way.
     """
     zero = upper - upper  # of the endpoints' type, where 0.0 would make an exact interval float
@@ -105,7 +102,7 @@ def finish_interval(
 
 def require_denominator(r1: float) -> float:
     """Return P(R=1|E=1) as is; raise if it is zero or subnormal, where rounding swamps the quotient."""
-    if r1 <= 0.0:
+    if r1 <= 0:
         raise UndefinedPcError("P(R=1|E=1) = 0: the event conditioned on never happens, PC is undefined")
     if r1 < sys.float_info.min:
         raise UndefinedPcError(f"P(R=1|E=1) = {r1!r} is subnormal: rounding swamps division, PC is undefined")
@@ -114,24 +111,21 @@ def require_denominator(r1: float) -> float:
 
 def _mediation_cell(summary: Quad) -> float:
     m0, m1, q0, q1 = summary
-    if m0 + m1 >= 1.0:
-        if q0 + q1 >= 1.0:
-            return (1.0 - m0) * (1.0 - q0) + (1.0 - m1) * (1.0 - q1)
-        return (1.0 - m0) * q1 + (1.0 - m1) * q0
-    if q0 + q1 >= 1.0:
-        return m1 * (1.0 - q0) + m0 * (1.0 - q1)
+    if m0 + m1 >= 1:
+        if q0 + q1 >= 1:
+            return (1 - m0) * (1 - q0) + (1 - m1) * (1 - q1)
+        return (1 - m0) * q1 + (1 - m1) * q0
+    if q0 + q1 >= 1:
+        return m1 * (1 - q0) + m0 * (1 - q1)
     return m1 * q1 + m0 * q0
 
 
 def pc_bounds(observed: ObservableSet) -> PcInterval:
     """Closed-form bounds: one weighted sum over the strata of `observed`."""
     r1 = require_denominator(observed.p_r1_given_e1)
-    strata = tuple(zip(observed.stratum_weights, observed.stratum_response))
-    delta = ordered_sum(w * max(0.0, r1_s - r0_s) for w, (r0_s, r1_s) in strata)
-    if observed.stratum_mediator_summary is None:
-        gamma = ordered_sum(w * max(0.0, r1_s - (1.0 - r0_s)) for w, (r0_s, r1_s) in strata)
-        upper = 1.0 - gamma / r1
-    else:
-        cells = zip(observed.stratum_weights, observed.stratum_mediator_summary)
-        upper = min(1.0, ordered_sum(w * _mediation_cell(summary) for w, summary in cells) / r1)
-    return finish_interval(delta / r1, upper, Method.CLOSED_FORM, observed.mode, observed.notes)
+    weights, rows = observed.stratum_weights, observed.stratum_response
+    delta = ordered_sum(w * max(0, r1_s - r0_s) for w, (r0_s, r1_s) in zip(weights, rows))
+    # without a mediator, M is E itself: P(M=1|E=0) = 0 and P(M=1|E=1) = 1
+    summaries = observed.stratum_mediator_summary or [(0, 1, *row) for row in rows]
+    upper = ordered_sum(w * _mediation_cell(summary) for w, summary in zip(weights, summaries))
+    return finish_interval(delta / r1, upper / r1, Method.CLOSED_FORM, observed.mode, observed.notes)

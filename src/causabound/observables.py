@@ -90,7 +90,7 @@ def _risk_ratio(p1: float, p0: float | None) -> tuple[float | None, tuple[str, .
     if p0 > 0.0:
         return p1 / p0, ()
     if p1 > 0.0:
-        return float("inf"), ("P(R=1|E=0) = 0: risk ratio taken as +infinity, so the lower bound is 1",)
+        return float("inf"), ("P(R=1|E=0) = 0: risk ratio taken as +infinity",)
     return None, ("P(R=1|E=1) = P(R=1|E=0) = 0: risk ratio undefined",)
 
 
@@ -235,7 +235,8 @@ def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> Observ
         if abs(p1 - truth1) > 1e-12 or abs(p0 - truth0) > 1e-12:  # type: ignore[operator]
             notes += (
                 "chain-reconstructed marginals (consumed by the formulas) differ from the joint law: "
-                f"P(R=1|E=1) {p1:.12g} vs {truth1:.12g}, P(R=1|E=0) {p0:.12g} vs {truth0:.12g}",
+                f"P(R=1|E=1) {float(p1):.12g} vs {float(truth1):.12g}, "
+                f"P(R=1|E=0) {float(p0):.12g} vs {float(truth0):.12g}",
             )
     return ObservableSet(st, mode, p1, p0, rr, weights, tuple(zip(rows0, rows1)), quads, notes)
 

@@ -1,10 +1,52 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from causabound import estimate_from_counts, load_scenario, read_counts_csv
+from causabound import Scenario, Structure, estimate_from_counts, load_scenario, read_counts_csv
+from causabound.scenario import ordered_sum
 
 DATA = Path(__file__).parent / "data"
+
+# exact ends, signed zero, subnormals, and overshoot inside the 1e-9 tolerance
+EDGE_VALUES = (0.0, 1.0, -0.0, 1e-300, 5e-324, -5e-10, 1.0 + 5e-10, 1e-9, 1.0 - 1e-9)
+edge_entries = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def edge_scenario_docs(draw):
+    """Scenario JSON of any structure, K = 1 to 4, with table entries from the edge region."""
+    structure = draw(st.sampled_from(list(Structure)))
+    doc = {"structure": structure.value}
+    suffixes = [""]
+    if structure.has_covariate:
+        k = draw(st.integers(min_value=2, max_value=4))
+        suffixes = [f",S={s}" for s in range(k)]
+        raw = draw(st.lists(st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.05, 1.0), min_size=k, max_size=k))
+        total = ordered_sum(raw)  # not `sum`, whose float total depends on the Python version
+        assume(total > 0.0)
+        doc["covariate_prior"] = [w / total for w in raw]
+        doc["exposure"] = {f"S={s}": draw(edge_entries) for s in range(k)}
+    elif draw(st.booleans()):
+        doc["exposure"] = draw(edge_entries)
+    if structure.has_mediator:
+        doc["mediator"] = {f"E={e}{suffix}": draw(edge_entries) for e in (0, 1) for suffix in suffixes}
+    cause = "M" if structure.has_mediator else "E"
+    doc["response"] = {f"{cause}={v}{suffix}": draw(edge_entries) for v in (0, 1) for suffix in suffixes}
+    return doc
+
+
+def exact(value):
+    """A float, or a tuple of them at any depth, as Fractions; None as None."""
+    if value is None:
+        return None
+    return tuple(map(exact, value)) if isinstance(value, tuple) else Fraction(value)
+
+
+def fraction_image(scenario: Scenario) -> Scenario:
+    """The same scenario with every stored entry as the `Fraction` of its float."""
+    return Scenario(scenario.structure, *map(exact, scenario[1:]))
 
 
 @pytest.fixture

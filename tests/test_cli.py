@@ -7,19 +7,20 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings
 
 from causabound import (
     AnalysisMode,
     Method,
-    Structure,
     applicable_modes,
     compute_intervals,
     derive_observables,
     oracle_bounds,
     pc_bounds,
+    reduce_scenario,
     run_audit,
     scenario_from_dict,
     validate_scenario,
@@ -33,8 +34,7 @@ from causabound.cli import (
     EXIT_UNDEFINED,
     main,
 )
-from causabound.scenario import ordered_sum
-from conftest import DATA
+from conftest import DATA, edge_scenario_docs, fraction_image
 
 BUILTIN_SUM = builtins.sum
 
@@ -129,6 +129,15 @@ MALFORMED_INPUTS = {
     "arabic_indic_count.csv": "E,R,count\n0,0,\u0661\u0662\n0,1,12\n1,0,70\n1,1,30\n".encode(),
 }
 
+# only stratum 0 has unexposed members, so P(R=1|E=0) = 0 and the risk ratio is
+# infinite; stratum 1, of weight 1 - 1e-300 given E=1, has no effect, so PC = 1e-300
+RISK_RATIO_INFINITE_TWO_STRATA = {
+    "structure": "covariate",
+    "covariate_prior": [0.5, 0.5],
+    "exposure": {"S=0": 1e-300, "S=1": 1.0},
+    "response": {"E=0,S=0": 0.0, "E=1,S=0": 1.0, "E=0,S=1": 1.0, "E=1,S=1": 1.0},
+}
+
 # integers `json` accepts but no float holds: read as +-inf, as `json` reads 1e400,
 # so validation rejects them; 401 digits is far under Python's 4,300-digit limit
 HUGE = b"1" + b"0" * 400
@@ -138,34 +147,6 @@ OVER_RANGE_INTEGERS = {
     "covariate_prior.json": b'{"structure": "covariate", "covariate_prior": [' + HUGE + b', 0.5], '
     b'"exposure": {"S=0": 0.5, "S=1": 0.5}, "response": {"E=0,S=0": 0.1, "E=1,S=0": 0.3, "E=0,S=1": 0.1, "E=1,S=1": 0.3}}',
 }
-
-# exact ends, signed zero, subnormals, and overshoot inside the 1e-9 tolerance
-EDGE_VALUES = (0.0, 1.0, -0.0, 1e-300, 5e-324, -5e-10, 1.0 + 5e-10, 1e-9, 1.0 - 1e-9)
-edge_entries = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=0.0, max_value=1.0))
-
-
-@st.composite
-def edge_scenario_docs(draw):
-    """Scenario JSON of any structure, K = 1 to 4, with table entries from the edge region."""
-    structure = draw(st.sampled_from(list(Structure)))
-    doc = {"structure": structure.value}
-    suffixes = [""]
-    if structure.has_covariate:
-        k = draw(st.integers(min_value=2, max_value=4))
-        suffixes = [f",S={s}" for s in range(k)]
-        raw = draw(st.lists(st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.05, 1.0), min_size=k, max_size=k))
-        total = ordered_sum(raw)  # not `sum`, whose float total depends on the Python version
-        assume(total > 0.0)
-        doc["covariate_prior"] = [w / total for w in raw]
-        doc["exposure"] = {f"S={s}": draw(edge_entries) for s in range(k)}
-    elif draw(st.booleans()):
-        doc["exposure"] = draw(edge_entries)
-    if structure.has_mediator:
-        doc["mediator"] = {f"E={e}{suffix}": draw(edge_entries) for e in (0, 1) for suffix in suffixes}
-    cause = "M" if structure.has_mediator else "E"
-    doc["response"] = {f"{cause}={v}{suffix}": draw(edge_entries) for v in (0, 1) for suffix in suffixes}
-    return doc
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -256,6 +237,23 @@ class TestBound:
         assert "Traceback" not in err
         assert err.startswith("causabound: invalid scenario:\n")
         assert re.search(r": value -?inf outside \[0, 1\]\n", err)
+
+    def test_upper_bound_near_certain_unexposed_response_keeps_its_precision(self, capsys, tmp_path):
+        # (1 - r0) / r1; the difference form 1 - (r1 - (1 - r0)) / r1 cancels to 1.42857170538e-10
+        path = tmp_path / "rare.json"
+        path.write_text(json.dumps({"structure": "basic", "response": {"E=0": 0.9999999999, "E=1": 0.7}}))
+        code, out, err = run(capsys, "bound", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        assert [entry["upper"] for entry in json.loads(out)["intervals"]] == [1.42857154677e-10] * 2
+
+    def test_infinite_risk_ratio_note_claims_no_bound(self, capsys, tmp_path):
+        path = tmp_path / "tiny_stratum.json"
+        path.write_text(json.dumps(RISK_RATIO_INFINITE_TWO_STRATA))
+        code, out, err = run(capsys, "bound", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        for entry in json.loads(out)["intervals"]:
+            assert (entry["lower"], entry["upper"]) == (1e-300, 1e-300)
+            assert not any("lower bound is 1" in note for note in entry["notes"])
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bound", "no_such_file.json")
@@ -474,6 +472,7 @@ class TestEdgeRegionFuzz:
             return
         report = json.loads(out.getvalue())
         scenario = scenario_from_dict(report["input"]["scenario"])
+        image = fraction_image(scenario)
         entries = report["audit"]["entries"]
         for closed, oracle in zip(entries[0::2], entries[1::2]):
             assert (closed["method"], oracle["method"]) == ("closed", "oracle")
@@ -483,10 +482,14 @@ class TestEdgeRegionFuzz:
                 continue
             for entry in (closed, oracle):
                 assert 0.0 <= entry["lower"] <= entry["upper"] <= 1.0
-            denominator = derive_observables(scenario, AnalysisMode(closed["mode"])).p_r1_given_e1
-            if denominator >= 1e-3:
-                assert abs(closed["lower"] - oracle["lower"]) <= TOLERANCE
-                assert abs(closed["upper"] - oracle["upper"]) <= TOLERANCE
+            mode = AnalysisMode(closed["mode"])
+            observed = derive_observables(scenario, mode)
+            exact = pc_bounds(derive_observables(image, mode))
+            # each endpoint sums at most K nonnegative terms, then divides once by P(R=1|E=1)
+            bound = 4 * len(scenario.response) * 2**-53 / observed.p_r1_given_e1  # 4 K u / r1
+            for interval in (pc_bounds(observed), oracle_bounds(reduce_scenario(scenario, mode), mode).interval):
+                assert abs(Fraction(interval.lower) - exact.lower) <= bound, (interval, exact)
+                assert abs(Fraction(interval.upper) - exact.upper) <= bound, (interval, exact)
 
 
 def compensated_sum(iterable, /, start=0):

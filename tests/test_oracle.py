@@ -18,6 +18,7 @@ from causabound import (
     pc_bounds,
     reduce_scenario,
 )
+from conftest import exact
 
 APPROX = 1e-12
 
@@ -26,13 +27,6 @@ def all_fixture_runs(*scenarios):
     for sc in scenarios:
         for mode in applicable_modes(sc.structure):
             yield sc, mode
-
-
-def exact(value):
-    """A float, or a tuple of them at any depth, as Fractions; None as None."""
-    if value is None:
-        return None
-    return tuple(map(exact, value)) if isinstance(value, tuple) else Fraction(value)
 
 
 class TestOracleMatchesClosedForms:

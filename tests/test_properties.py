@@ -3,10 +3,11 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from causabound import (
     AnalysisMode,
@@ -34,6 +35,7 @@ from causabound import (
 )
 from causabound.bounds import finish_interval
 from causabound.scenario import ordered_sum
+from conftest import edge_scenario_docs, fraction_image
 
 # the corner maximum of this scenario is 1 + 1 ulp before the clamp
 OVERSHOOTING_MEDIATOR = Scenario(Structure.MEDIATOR, response=((0.2, 0.5),), mediator=((0.2, 0.8),))
@@ -115,6 +117,29 @@ def test_closed_form_matches_oracle(scenario):
         cert = oracle_bounds(reduce_scenario(scenario, mode), mode)
         assert abs(closed.lower - cert.interval.lower) <= 1e-9
         assert abs(closed.upper - cert.interval.upper) <= 1e-9
+
+
+def _exact_endpoints(image, mode, method):
+    """`method`'s endpoints on `image`, a `Fraction` scenario, in `mode`; or the error type it raises."""
+    try:
+        if method is Method.ORACLE:
+            interval = oracle_bounds(reduce_scenario(image, mode), mode).interval
+        else:
+            interval = pc_bounds(derive_observables(image, mode))
+    except CausaboundError as exc:
+        return type(exc)
+    assert type(interval.lower) is Fraction and type(interval.upper) is Fraction, interval
+    return interval.lower, interval.upper
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(any_scenario | edge_scenario_docs().map(scenario_from_dict))
+def test_closed_form_equals_oracle_exactly_on_fractions(scenario):
+    assume(validate_scenario(scenario) == ())
+    image = fraction_image(scenario)
+    for mode in applicable_modes(scenario.structure):
+        closed = _exact_endpoints(image, mode, Method.CLOSED_FORM)
+        assert closed == _exact_endpoints(image, mode, Method.ORACLE), mode
 
 
 @settings(max_examples=60)
