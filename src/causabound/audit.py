@@ -18,15 +18,16 @@ import functools
 import hashlib
 import json
 from itertools import combinations_with_replacement
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .bounds import Method, PcInterval, pc_bounds
 from .errors import UndefinedConditionalError
 from .observables import observe, reduce_scenario
 from .oracle import oracle_bounds
-from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
+from .scenario import PROBABILITY_TOLERANCE, AnalysisMode, Scenario, Structure, scenario_to_dict
 
 NESTED_SLACK = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class Relation(str, enum.Enum):
@@ -61,7 +62,11 @@ def applicable_modes(structure: Structure) -> tuple[AnalysisMode, ...]:
 
 
 class AuditEntry(NamedTuple):
-    """One (mode, method) cell: an interval, or the error that prevented it."""
+    """One (mode, method) cell: an interval, or the error that prevented it.
+
+    This is the one place an interval is labelled, and every report row is
+    built from one (`report.interval_payload`).
+    """
 
     mode: AnalysisMode
     method: Method
@@ -108,15 +113,44 @@ def compute_intervals(
     """The PC interval of `scenario` analysed under `mode`, once per method in `methods`.
 
     The scenario is reduced once for every method, and both methods read
-    the tables as the Scenario stores them.
+    the tables as the Scenario stores them.  A float endpoint is within
+    4 K u / r1 of exact, where K is `scenario`'s stratum count, u = 2**-53
+    and r1 the P(R=1|E=1) the method divided by; where that bound exceeds
+    PROBABILITY_TOLERANCE, the cell is computed again on the `Fraction`
+    image of `scenario`, whose collapse does not round, and reports the
+    floats of the exact endpoints with a note naming r1.
     """
     reduced = reduce_scenario(scenario, mode)
-    return tuple(
-        pc_bounds(observe(scenario, reduced, mode))
-        if method is Method.CLOSED_FORM
-        else oracle_bounds(reduced, mode).interval
-        for method in methods
-    )
+    intervals = []
+    for method in methods:
+        interval, r1 = _interval(scenario, reduced, method)
+        if 4 * scenario.n_strata * _UNIT_ROUNDOFF / r1 > PROBABILITY_TOLERANCE:
+            note = f"P(R=1|E=1) = {r1:.12g}: float rounding could exceed {PROBABILITY_TOLERANCE:g}, "
+            note += "endpoints computed exactly"
+            interval = PcInterval(*_exact_endpoints(scenario, mode, method), interval.notes + (note,))
+        intervals.append(interval)
+    return tuple(intervals)
+
+
+def _interval(scenario: Scenario, reduced: Scenario, method: Method) -> tuple[PcInterval, float]:
+    """`method`'s interval on `reduced`, a reduction of `scenario`, and the P(R=1|E=1) it divided by."""
+    if method is Method.CLOSED_FORM:
+        observed = observe(scenario, reduced)
+        return pc_bounds(observed), observed.p_r1_given_e1
+    certificate = oracle_bounds(reduced)
+    return certificate.interval, certificate.denominator
+
+
+def _exact_endpoints(scenario: Scenario, mode: AnalysisMode, method: Method) -> tuple[float, float]:
+    """The floats nearest `method`'s endpoints in exact arithmetic on the `Fraction` image of `scenario`."""
+    from fractions import Fraction  # imported here only: a module-level import slows every CLI start
+
+    def exact(value: Any) -> Any:
+        return value if value is None else tuple(map(exact, value)) if isinstance(value, tuple) else Fraction(value)
+
+    image = Scenario(scenario.structure, *map(exact, scenario[1:]))
+    interval, _ = _interval(image, reduce_scenario(image, mode), method)
+    return float(interval.lower), float(interval.upper)
 
 
 def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_FORM,)) -> AuditReport:

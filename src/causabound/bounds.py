@@ -38,7 +38,9 @@ max{0, 1 - 1/RR} <= PC <= min{1, P(R=0|E=0) / P(R=1|E=1)}, RR = r1/r0.
 The literals are ints, so `Fraction` rows give `Fraction` endpoints.
 
 Every bound is sharp for its information set: richer information can only
-shrink the interval, which the audit machinery makes observable.
+shrink the interval, which the audit machinery makes observable.  An
+interval here is endpoints and notes only; `audit.AuditEntry` labels it
+with the analysis mode and the method that produced it.
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ from typing import NamedTuple
 
 from .errors import UndefinedPcError
 from .observables import ObservableSet, Quad
-from .scenario import AnalysisMode, ordered_sum
+from .scenario import ordered_sum
 
 
 class Method(str, enum.Enum):
-    """How an interval was produced."""
+    """How an interval was produced: this closed form, or the oracle's corner search."""
 
     CLOSED_FORM = "closed"
     ORACLE = "oracle"
@@ -62,13 +64,15 @@ class Method(str, enum.Enum):
 class _IntervalFields(NamedTuple):
     lower: float
     upper: float
-    method: Method
-    mode: AnalysisMode
     notes: tuple[str, ...] = ()
 
 
 class PcInterval(_IntervalFields):
-    """A closed interval certain to contain PC, with provenance; `_replace` checks it too."""
+    """A closed interval certain to contain PC, with notes on how it arose; `_replace` checks it too.
+
+    Which analysis mode and method produced it is the audit's to record
+    (`audit.AuditEntry`), not the interval's.
+    """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -84,9 +88,7 @@ class PcInterval(_IntervalFields):
         return self.upper - self.lower
 
 
-def finish_interval(
-    lower: float, upper: float, method: Method, mode: AnalysisMode, notes: tuple[str, ...]
-) -> PcInterval:
+def finish_interval(lower: float, upper: float, notes: tuple[str, ...]) -> PcInterval:
     """Clamp raw endpoint values into an interval inside [0, 1].
 
     Every method ends here.  The two ends are exact algebraically but come
@@ -97,7 +99,7 @@ def finish_interval(
     zero = upper - upper  # of the endpoints' type, where 0.0 would make an exact interval float
     upper = min(zero + 1, max(zero, upper))
     lower = min(max(zero, lower), upper)
-    return PcInterval(lower, upper, method, mode, notes)
+    return PcInterval(lower, upper, notes)
 
 
 def require_denominator(r1: float) -> float:
@@ -128,4 +130,4 @@ def pc_bounds(observed: ObservableSet) -> PcInterval:
     # without a mediator, M is E itself: P(M=1|E=0) = 0 and P(M=1|E=1) = 1
     summaries = observed.stratum_mediator_summary or [(0, 1, *row) for row in rows]
     upper = ordered_sum(w * _mediation_cell(summary) for w, summary in zip(weights, summaries))
-    return finish_interval(delta / r1, upper / r1, Method.CLOSED_FORM, observed.mode, observed.notes)
+    return finish_interval(delta / r1, upper / r1, observed.notes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .audit import compute_intervals, run_audit
+from .audit import AuditEntry, compute_intervals, run_audit
 from .bounds import Method
 from .checks import DEFAULT_SEED, DEFAULT_TRIALS, equivalence_sweep, render_sweep_report
 from .contingency import estimate_from_counts, read_counts_csv
@@ -25,6 +25,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNDEFINED = 3
 
+# each --method value and the methods it runs, in report order
+_METHODS = {
+    "closed": (Method.CLOSED_FORM,),
+    "oracle": (Method.ORACLE,),
+    "both": (Method.CLOSED_FORM, Method.ORACLE),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -36,6 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_output_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", choices=("json", "csv"), default="json", help="report rendering")
 
+    def add_method_flag(p: argparse.ArgumentParser, text: str) -> None:
+        p.add_argument("--method", choices=tuple(_METHODS), default="closed", help=text)
+
     p_bound = sub.add_parser("bound", help="compute a PC interval")
     p_bound.add_argument("input", help="scenario .json or counts .csv")
     p_bound.add_argument(
@@ -44,22 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=AnalysisMode.FULL.value,
         help="how much structure to use",
     )
-    p_bound.add_argument(
-        "--method",
-        choices=("closed", "oracle", "both"),
-        default="closed",
-        help="closed-form bounds, brute-force oracle, or both",
-    )
+    add_method_flag(p_bound, "closed-form bounds, brute-force oracle, or both")
     add_output_flag(p_bound)
 
     p_audit = sub.add_parser("audit", help="compare every applicable analysis mode")
     p_audit.add_argument("input", help="scenario .json or counts .csv")
-    p_audit.add_argument(
-        "--method",
-        choices=("closed", "oracle", "both"),
-        default="closed",
-        help="methods to audit with",
-    )
+    add_method_flag(p_audit, "methods to audit with")
     add_output_flag(p_audit)
 
     p_estimate = sub.add_parser("estimate", help="counts CSV to scenario JSON")
@@ -72,12 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_p = sub.add_parser("demo", help="run the bundled reference analyses")
     demo_p.add_argument("--json", action="store_true", help="emit the results as JSON")
     return parser
-
-
-def _methods(flag: str) -> tuple[Method, ...]:
-    if flag == "both":
-        return (Method.CLOSED_FORM, Method.ORACLE)
-    return (Method.CLOSED_FORM,) if flag == "closed" else (Method.ORACLE,)
 
 
 def _load_input(path: str) -> tuple[Scenario, str]:
@@ -102,14 +96,16 @@ def _emit(doc: dict, output: str) -> None:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     scenario, digest = _load_input(args.input)
-    intervals = compute_intervals(scenario, AnalysisMode(args.mode), _methods(args.method))
-    _emit(report_document(scenario, digest, intervals), args.output)
+    mode, methods = AnalysisMode(args.mode), _METHODS[args.method]
+    intervals = compute_intervals(scenario, mode, methods)
+    entries = tuple(AuditEntry(mode, method, iv) for method, iv in zip(methods, intervals))
+    _emit(report_document(scenario, digest, entries), args.output)
     return EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     scenario, digest = _load_input(args.input)
-    audit = run_audit(scenario, _methods(args.method))
+    audit = run_audit(scenario, _METHODS[args.method])
     _emit(report_document(scenario, digest, (), audit), args.output)
     return EXIT_OK
 

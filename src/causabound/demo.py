@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._version import __version__
-from .audit import applicable_modes, compute_intervals
+from .audit import AuditEntry, applicable_modes, compute_intervals
 from .bounds import Method
 from .contingency import ContingencyTable, estimate_from_counts
 from .report import interval_payload
@@ -92,13 +92,14 @@ def demo_document() -> tuple[dict, bool]:
     doc_cases = []
     ok = True
     checked = 0
+    methods = (Method.CLOSED_FORM, Method.ORACLE)
     for case in REFERENCE_CASES:
         expected_by_mode = {mode: (lo, hi) for mode, lo, hi in case.expected}
         rows = []
         for mode in applicable_modes(case.scenario.structure):
             expected = expected_by_mode.get(mode)
-            for interval in compute_intervals(case.scenario, mode, (Method.CLOSED_FORM, Method.ORACLE)):
-                row = interval_payload(interval)
+            for method, interval in zip(methods, compute_intervals(case.scenario, mode, methods)):
+                row = interval_payload(AuditEntry(mode, method, interval))
                 del row["notes"]
                 got = (row["lower_display"], row["upper_display"])
                 if expected is not None:

@@ -58,7 +58,8 @@ def chain_response(mediator: Pair, response: Pair, exposure_value: int) -> float
 class ObservableSet(NamedTuple):
     """Inputs to the closed-form bounds, plus provenance notes.
 
-    `structure` is the effective structure after the mode's reductions.
+    `structure` is the effective structure after the mode's reductions;
+    the mode itself is not kept, as the audit labels each interval.
     Every set is stratified: a structure without a covariate is one stratum
     of weight 1.  `stratum_weights` are P(S=s|E=1), `stratum_response` the
     rows (P(R=1|E=0,S=s), P(R=1|E=1,S=s)), and `stratum_mediator_summary`
@@ -74,7 +75,6 @@ class ObservableSet(NamedTuple):
     """
 
     structure: Structure
-    mode: AnalysisMode
     p_r1_given_e1: float
     p_r1_given_e0: float | None
     risk_ratio: float | None
@@ -201,10 +201,12 @@ def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     return reduced
 
 
-def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> ObservableSet:
+def observe(scenario: Scenario, reduced: Scenario) -> ObservableSet:
     """Summarize what the formulas consume from `reduced`, which is `reduce_scenario(scenario, mode)`.
 
-    When a mediator-form view of a collapsed scenario reconstructs marginals
+    `reduce_scenario` returns `scenario` itself in full mode, so `reduced is
+    not scenario` exactly when something was collapsed.  When a
+    mediator-form view of a collapsed scenario reconstructs marginals
     through the chain that differ from the joint law of `scenario` (they
     can, once a covariate has been mixed away), a note names both values.
     """
@@ -226,7 +228,7 @@ def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> Observ
         notes += (f"{str(exc).partition(':')[0]}: marginal P(R=1|E=0) unavailable",)
     rr, rr_notes = _risk_ratio(p1, p0)
     notes += rr_notes
-    if mode is not AnalysisMode.FULL and st is Structure.MEDIATOR:
+    if reduced is not scenario and st is Structure.MEDIATOR:
         # only ignore-covariate on mediator_covariate lands here: p0 is set, as
         # the reduced view has no covariate, and the collapse has already
         # required P(E=0) and P(E=1) of `scenario` to be usable
@@ -238,9 +240,9 @@ def observe(scenario: Scenario, reduced: Scenario, mode: AnalysisMode) -> Observ
                 f"P(R=1|E=1) {float(p1):.12g} vs {float(truth1):.12g}, "
                 f"P(R=1|E=0) {float(p0):.12g} vs {float(truth0):.12g}",
             )
-    return ObservableSet(st, mode, p1, p0, rr, weights, tuple(zip(rows0, rows1)), quads, notes)
+    return ObservableSet(st, p1, p0, rr, weights, tuple(zip(rows0, rows1)), quads, notes)
 
 
 def derive_observables(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) -> ObservableSet:
     """Reduce per `mode`, then summarize what the formulas will consume."""
-    return observe(scenario, reduce_scenario(scenario, mode), mode)
+    return observe(scenario, reduce_scenario(scenario, mode))

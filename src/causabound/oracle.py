@@ -28,6 +28,8 @@ can never beat the corner search, at any resolution.  The search, its
 objective and its total (`ordered_sum`) are written once; what checks the
 formula itself is agreement with the independently derived closed form.
 The literals are ints, so a `Fraction` scenario gets an exact interval.
+Both searches take the scenario an analysis mode has already reduced
+(`observables.reduce_scenario`) and know nothing of the mode itself.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import product
 from typing import NamedTuple
 
-from .bounds import Method, PcInterval, finish_interval, require_denominator
+from .bounds import PcInterval, finish_interval, require_denominator
 from .frechet import FrechetBox, frechet_box
 from .observables import response_rows, stratum_posterior
-from .scenario import AnalysisMode, Scenario, ordered_sum
+from .scenario import Scenario, ordered_sum
 
 
 class StratumBoxes(NamedTuple):
@@ -143,7 +145,7 @@ def _search(
     return ordered_sum(lows), ordered_sum(highs), argmin, argmax
 
 
-def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) -> OracleCertificate:
+def oracle_bounds(scenario: Scenario) -> OracleCertificate:
     """Exact extremal PC interval by corner enumeration, with certificate.
 
     Corners are visited in lexicographic order (q_min before q_max, the
@@ -152,19 +154,12 @@ def oracle_bounds(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) ->
     """
     strata, denominator = scenario_boxes(scenario)
     total_min, total_max, argmin, argmax = _search(strata, _corners)
-    interval = finish_interval(
-        total_min / denominator,
-        total_max / denominator,
-        Method.ORACLE,
-        mode,
-        ("corner enumeration over the potential-outcome boxes",),
-    )
+    notes = ("corner enumeration over the potential-outcome boxes",)
+    interval = finish_interval(total_min / denominator, total_max / denominator, notes)
     return OracleCertificate(interval, strata, denominator, argmin, argmax)
 
 
-def grid_scan_bounds(
-    scenario: Scenario, resolution: int, mode: AnalysisMode = AnalysisMode.FULL
-) -> PcInterval:
+def grid_scan_bounds(scenario: Scenario, resolution: int) -> PcInterval:
     """Extremal PC interval over uniform grids inside each box.
 
     The grid covers each free joint parameter with `resolution` points,
@@ -175,10 +170,5 @@ def grid_scan_bounds(
         raise ValueError("resolution must be at least 2 to include both box ends")
     strata, denominator = scenario_boxes(scenario)
     total_min, total_max, _, _ = _search(strata, _grid(resolution))
-    return finish_interval(
-        total_min / denominator,
-        total_max / denominator,
-        Method.ORACLE,
-        mode,
-        (f"uniform grid scan, {resolution} points per joint parameter",),
-    )
+    notes = (f"uniform grid scan, {resolution} points per joint parameter",)
+    return finish_interval(total_min / denominator, total_max / denominator, notes)

@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
 from ._version import __version__
-from .audit import AuditReport, Relation
-from .bounds import Method, PcInterval
+from .audit import AuditEntry, AuditReport, Relation
+from .bounds import Method
 from .scenario import AnalysisMode, Scenario, scenario_to_dict
 
 FULL_PRECISION_DIGITS = 12
@@ -43,31 +43,33 @@ def digest_bytes(data: bytes) -> str:
 _TEXT = {None: None, **{member: member.value for kind in (AnalysisMode, Method, Relation) for member in kind}}
 
 
-def interval_payload(interval: PcInterval) -> dict[str, Any]:
-    return {
-        "mode": _TEXT[interval.mode],
-        "method": _TEXT[interval.method],
-        "lower": full_precision(interval.lower),
-        "upper": full_precision(interval.upper),
-        "lower_display": display(interval.lower),
-        "upper_display": display(interval.upper),
-        "notes": list(interval.notes),
-    }
-
-
-# an audit row whose mode failed: the interval row's endpoint fields, all null
+# the endpoint fields of a row whose mode failed, all null
 _NULL_ENDPOINTS = dict.fromkeys(("lower", "upper", "lower_display", "upper_display"))
+
+
+def interval_payload(entry: AuditEntry) -> dict[str, Any]:
+    """The report row of one entry: its labels, then its endpoints and notes, null and empty if it failed."""
+    row = {"mode": _TEXT[entry.mode], "method": _TEXT[entry.method]}
+    interval = entry.interval
+    if interval is None:
+        row.update(_NULL_ENDPOINTS, notes=[])
+        return row
+    row.update(
+        lower=full_precision(interval.lower),
+        upper=full_precision(interval.upper),
+        lower_display=display(interval.lower),
+        upper_display=display(interval.upper),
+        notes=list(interval.notes),
+    )
+    return row
 
 
 def audit_payload(report: AuditReport) -> dict[str, Any]:
     entries = []
     for e in report.entries:
-        if e.interval is not None:
-            payload = interval_payload(e.interval)
-        else:
-            payload = {"mode": _TEXT[e.mode], "method": _TEXT[e.method], **_NULL_ENDPOINTS, "notes": []}
-        payload["error"] = e.error
-        entries.append(payload)
+        row = interval_payload(e)
+        row["error"] = e.error
+        entries.append(row)
     return {
         "methods": [_TEXT[m] for m in report.methods],
         "entries": entries,
@@ -79,7 +81,7 @@ def audit_payload(report: AuditReport) -> dict[str, Any]:
 def report_document(
     scenario: Scenario,
     input_digest: str,
-    intervals: tuple[PcInterval, ...] = (),
+    intervals: tuple[AuditEntry, ...] = (),
     audit: AuditReport | None = None,
 ) -> dict[str, Any]:
     doc: dict[str, Any] = {
@@ -90,7 +92,7 @@ def report_document(
             "decimals": DISPLAY_DECIMALS,
             "full_precision_significant_digits": FULL_PRECISION_DIGITS,
         },
-        "intervals": [interval_payload(iv) for iv in intervals],
+        "intervals": [interval_payload(entry) for entry in intervals],
     }
     if audit is not None:
         doc["audit"] = audit_payload(audit)

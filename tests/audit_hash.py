@@ -10,6 +10,8 @@ mediator_covariate) and entries drawn half from the edge values below and
 half uniformly, from one `random.Random(2026)` stream.  Each document is
 written to DOC_PATH (default: a file in a temporary directory) and audited
 in process.  Needs only the standard library; pytest does not collect it.
+The expected line for N = 16800 is kept in
+tests/data/golden/audit-hash-16800.txt, and CI diffs the output against it.
 """
 
 import contextlib

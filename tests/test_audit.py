@@ -26,7 +26,7 @@ from conftest import DATA
 
 
 def interval(lower, upper):
-    return PcInterval(lower, upper, Method.CLOSED_FORM, AnalysisMode.FULL)
+    return PcInterval(lower, upper)
 
 
 class TestRelationClassifier:

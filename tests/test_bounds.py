@@ -29,8 +29,6 @@ class TestBasic:
         # 1 - 0.12/0.30 and min(1, 0.88/0.30) are exact in binary64
         assert interval.lower == 0.6
         assert interval.upper == 1.0
-        assert interval.method is Method.CLOSED_FORM
-        assert interval.mode is AnalysisMode.FULL
 
     def test_flat_risk_gives_vacuous_lower(self):
         sc = Scenario(Structure.BASIC, response=((0.5, 0.5),))
@@ -219,16 +217,16 @@ class TestRiskRatioThreshold:
 class TestPcInterval:
     def test_ordering_is_enforced(self):
         with pytest.raises(ValueError):
-            PcInterval(0.7, 0.3, Method.CLOSED_FORM, AnalysisMode.FULL)
+            PcInterval(0.7, 0.3)
 
     def test_range_is_enforced(self):
         with pytest.raises(ValueError):
-            PcInterval(-0.1, 0.3, Method.CLOSED_FORM, AnalysisMode.FULL)
+            PcInterval(-0.1, 0.3)
         with pytest.raises(ValueError):
-            PcInterval(0.5, 1.2, Method.CLOSED_FORM, AnalysisMode.FULL)
+            PcInterval(0.5, 1.2)
 
     def test_width(self):
-        interval = PcInterval(0.25, 0.75, Method.CLOSED_FORM, AnalysisMode.FULL)
+        interval = PcInterval(0.25, 0.75)
         assert interval.width == 0.5
 
     def test_all_fixture_intervals_are_well_formed(

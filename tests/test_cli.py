@@ -34,7 +34,7 @@ from causabound.cli import (
     EXIT_UNDEFINED,
     main,
 )
-from conftest import DATA, edge_scenario_docs, fraction_image
+from conftest import COLLAPSE_ROUNDING, DATA, FULL_MODE_UNDERFLOW, edge_scenario_docs, fraction_image
 
 BUILTIN_SUM = builtins.sum
 
@@ -448,6 +448,50 @@ class TestAudit:
         assert all(0.0 <= float(value) <= 1.0 for pair in pairs for value in pair), note
 
 
+class TestBoundMatchesAudit:
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.*")), ids=lambda path: path.name)
+    def test_bound_prints_the_audit_rows(self, capsys, path):
+        code, out, err = run(capsys, "audit", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        audit_rows = [{k: v for k, v in row.items() if k != "error"} for row in doc["audit"]["entries"]]
+        bound_rows = []
+        for mode in applicable_modes(scenario_from_dict(doc["input"]["scenario"]).structure):
+            code, out, err = run(capsys, "bound", str(path), "--method", "both", "--mode", mode.value)
+            assert code == EXIT_OK, err
+            bound_rows += json.loads(out)["intervals"]
+        assert [list(row.items()) for row in bound_rows] == [list(row.items()) for row in audit_rows]
+
+
+class TestIllConditionedCells:
+    """A cell whose float error bound 4 K u / r1 exceeds the tolerance is computed exactly."""
+
+    def test_collapse_rounding_shows_no_bias(self, capsys, tmp_path):
+        path = tmp_path / "collapse.json"
+        path.write_text(json.dumps(COLLAPSE_ROUNDING))
+        code, out, err = run(capsys, "audit", str(path), "--method", "both")
+        assert code == EXIT_OK, err
+        audit = json.loads(out)["audit"]
+        rows = [row for row in audit["entries"] if row["mode"] == "ignore-covariate"]
+        assert [(row["method"], row["lower"], row["upper"]) for row in rows] == [
+            ("closed", 0.0, 0.0),
+            ("oracle", 0.0, 0.0),
+        ]
+        for row in rows:
+            assert row["notes"][-1].startswith("P(R=1|E=1) = 1.01648350615e-17: "), row["notes"]
+            assert row["notes"][-1].endswith("endpoints computed exactly"), row["notes"]
+        assert audit["headline_disagreement"] is False
+
+    def test_full_mode_underflow_gives_the_exact_interval(self):
+        scenario = scenario_from_dict(FULL_MODE_UNDERFLOW)
+        exact = pc_bounds(derive_observables(fraction_image(scenario)))
+        want = [f"{float(value):.12g}" for value in (exact.lower, exact.upper)]
+        assert want == ["0.0427623699255", "0.334550960156"]
+        for interval in compute_intervals(scenario, AnalysisMode.FULL, (Method.CLOSED_FORM, Method.ORACLE)):
+            assert [f"{value:.12g}" for value in (interval.lower, interval.upper)] == want
+            assert interval.notes[-1].endswith("endpoints computed exactly"), interval.notes
+
+
 class TestEdgeRegionFuzz:
     # derandomized, so every run draws the same examples and a failure repeats
     @settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
@@ -487,7 +531,7 @@ class TestEdgeRegionFuzz:
             exact = pc_bounds(derive_observables(image, mode))
             # each endpoint sums at most K nonnegative terms, then divides once by P(R=1|E=1)
             bound = 4 * len(scenario.response) * 2**-53 / observed.p_r1_given_e1  # 4 K u / r1
-            for interval in (pc_bounds(observed), oracle_bounds(reduce_scenario(scenario, mode), mode).interval):
+            for interval in (pc_bounds(observed), oracle_bounds(reduce_scenario(scenario, mode)).interval):
                 assert abs(Fraction(interval.lower) - exact.lower) <= bound, (interval, exact)
                 assert abs(Fraction(interval.upper) - exact.upper) <= bound, (interval, exact)
 

@@ -7,7 +7,6 @@ import pytest
 from causabound import (
     REFERENCE_CASES,
     AnalysisMode,
-    Method,
     Scenario,
     Structure,
     UndefinedPcError,
@@ -34,7 +33,6 @@ class TestOracleMatchesClosedForms:
         cert = oracle_bounds(trial_scenario)
         assert cert.interval.lower == 0.6
         assert cert.interval.upper == 1.0
-        assert cert.interval.method is Method.ORACLE
 
     def test_mediation(self, mediation_scenario):
         cert = oracle_bounds(mediation_scenario)
@@ -58,10 +56,9 @@ class TestOracleMatchesClosedForms:
             trial_scenario, mediation_scenario, crossover_scenario, confounded_scenario
         ):
             closed = pc_bounds(derive_observables(sc, mode))
-            cert = oracle_bounds(reduce_scenario(sc, mode), mode)
+            cert = oracle_bounds(reduce_scenario(sc, mode))
             assert cert.interval.lower == pytest.approx(closed.lower, abs=APPROX)
             assert cert.interval.upper == pytest.approx(closed.upper, abs=APPROX)
-            assert cert.interval.mode is mode
 
 
 class TestExactOracle:
@@ -70,9 +67,9 @@ class TestExactOracle:
         sc = case.scenario
         exact_sc = Scenario(sc.structure, *map(exact, sc[1:]))
         for mode in applicable_modes(sc.structure):
-            interval = oracle_bounds(reduce_scenario(exact_sc, mode), mode).interval
+            interval = oracle_bounds(reduce_scenario(exact_sc, mode)).interval
             closed = pc_bounds(derive_observables(sc, mode))
-            oracle = oracle_bounds(reduce_scenario(sc, mode), mode).interval
+            oracle = oracle_bounds(reduce_scenario(sc, mode)).interval
             for end in ("lower", "upper"):
                 value = getattr(interval, end)
                 assert type(value) is Fraction, (mode, end, value)
@@ -103,7 +100,7 @@ class TestCertificates:
         for sc, mode in all_fixture_runs(
             trial_scenario, mediation_scenario, crossover_scenario, confounded_scenario
         ):
-            cert = oracle_bounds(reduce_scenario(sc, mode), mode)
+            cert = oracle_bounds(reduce_scenario(sc, mode))
             assert cert.objective(cert.argmin) == cert.interval.lower
             assert cert.objective(cert.argmax) == cert.interval.upper
 
@@ -113,7 +110,7 @@ class TestCertificates:
         for sc, mode in all_fixture_runs(
             trial_scenario, mediation_scenario, crossover_scenario, confounded_scenario
         ):
-            cert = oracle_bounds(reduce_scenario(sc, mode), mode)
+            cert = oracle_bounds(reduce_scenario(sc, mode))
             for assignment in (cert.argmin, cert.argmax):
                 for stratum, qs in zip(cert.strata, assignment):
                     boxes = (
@@ -159,8 +156,8 @@ class TestGridScan:
             trial_scenario, mediation_scenario, crossover_scenario, confounded_scenario
         ):
             reduced = reduce_scenario(sc, mode)
-            cert = oracle_bounds(reduced, mode)
-            grid = grid_scan_bounds(reduced, 2, mode)
+            cert = oracle_bounds(reduced)
+            grid = grid_scan_bounds(reduced, 2)
             assert (grid.lower, grid.upper) == (cert.interval.lower, cert.interval.upper)
 
     def test_mediation_at_resolution_101(self, mediation_scenario):
@@ -198,13 +195,13 @@ class TestInformationOrdering:
     def test_stratified_mediator_refines_stratified_marginals(self, confounded_scenario):
         fine = oracle_bounds(confounded_scenario).interval
         coarse_scenario = reduce_scenario(confounded_scenario, AnalysisMode.IGNORE_MEDIATOR)
-        coarse = oracle_bounds(coarse_scenario, AnalysisMode.IGNORE_MEDIATOR).interval
+        coarse = oracle_bounds(coarse_scenario).interval
         assert fine.lower >= coarse.lower - 1e-12
         assert fine.upper <= coarse.upper + 1e-12
 
     def test_mediator_refines_basic(self, mediation_scenario):
         fine = oracle_bounds(mediation_scenario).interval
         coarse_scenario = reduce_scenario(mediation_scenario, AnalysisMode.IGNORE_MEDIATOR)
-        coarse = oracle_bounds(coarse_scenario, AnalysisMode.IGNORE_MEDIATOR).interval
+        coarse = oracle_bounds(coarse_scenario).interval
         assert fine.lower == pytest.approx(coarse.lower, abs=1e-12)
         assert fine.upper <= coarse.upper + 1e-12

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from causabound import (
     AnalysisMode,
+    AuditEntry,
     CausaboundError,
     ContingencyTable,
     EmptyConditioningCellError,
@@ -18,6 +19,7 @@ from causabound import (
     Scenario,
     Structure,
     applicable_modes,
+    compute_intervals,
     derive_observables,
     estimate_from_counts,
     expected_counts,
@@ -35,7 +37,7 @@ from causabound import (
 )
 from causabound.bounds import finish_interval
 from causabound.scenario import ordered_sum
-from conftest import edge_scenario_docs, fraction_image
+from conftest import COLLAPSE_ROUNDING, FULL_MODE_UNDERFLOW, edge_scenario_docs, fraction_image
 
 # the corner maximum of this scenario is 1 + 1 ulp before the clamp
 OVERSHOOTING_MEDIATOR = Scenario(Structure.MEDIATOR, response=((0.2, 0.5),), mediator=((0.2, 0.8),))
@@ -114,7 +116,7 @@ def test_intervals_are_well_formed_in_every_mode(scenario):
 def test_closed_form_matches_oracle(scenario):
     for mode in applicable_modes(scenario.structure):
         closed = pc_bounds(derive_observables(scenario, mode))
-        cert = oracle_bounds(reduce_scenario(scenario, mode), mode)
+        cert = oracle_bounds(reduce_scenario(scenario, mode))
         assert abs(closed.lower - cert.interval.lower) <= 1e-9
         assert abs(closed.upper - cert.interval.upper) <= 1e-9
 
@@ -123,7 +125,7 @@ def _exact_endpoints(image, mode, method):
     """`method`'s endpoints on `image`, a `Fraction` scenario, in `mode`; or the error type it raises."""
     try:
         if method is Method.ORACLE:
-            interval = oracle_bounds(reduce_scenario(image, mode), mode).interval
+            interval = oracle_bounds(reduce_scenario(image, mode)).interval
         else:
             interval = pc_bounds(derive_observables(image, mode))
     except CausaboundError as exc:
@@ -142,6 +144,25 @@ def test_closed_form_equals_oracle_exactly_on_fractions(scenario):
         assert closed == _exact_endpoints(image, mode, Method.ORACLE), mode
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(edge_scenario_docs())
+@example(COLLAPSE_ROUNDING)
+@example(FULL_MODE_UNDERFLOW)
+def test_every_computed_interval_is_within_tolerance_of_exact(doc):
+    scenario = scenario_from_dict(doc)
+    assume(validate_scenario(scenario) == ())
+    image = fraction_image(scenario)
+    for mode in applicable_modes(scenario.structure):
+        try:
+            intervals = compute_intervals(scenario, mode, (Method.CLOSED_FORM, Method.ORACLE))
+        except CausaboundError:
+            continue
+        exact = pc_bounds(derive_observables(image, mode))
+        for interval in intervals:
+            assert abs(Fraction(interval.lower) - exact.lower) <= 1e-9, (mode, interval, exact)
+            assert abs(Fraction(interval.upper) - exact.upper) <= 1e-9, (mode, interval, exact)
+
+
 @settings(max_examples=60)
 @given(any_scenario)
 @example(OVERSHOOTING_MEDIATOR)
@@ -150,7 +171,7 @@ def test_certificate_reevaluation_is_exact(scenario):
     cert = oracle_bounds(scenario)
     lower, upper = cert.objective(cert.argmin), cert.objective(cert.argmax)
     iv = cert.interval
-    assert finish_interval(lower, upper, Method.ORACLE, iv.mode, iv.notes) == iv
+    assert finish_interval(lower, upper, iv.notes) == iv
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
@@ -329,8 +350,8 @@ def test_scenario_json_round_trip(scenario):
 @settings(max_examples=30)
 @given(any_scenario)
 def test_reports_render_identically_on_repeat(scenario):
-    intervals = [pc_bounds(derive_observables(scenario, AnalysisMode.FULL))]
-    doc = report_document(scenario, "sha256:" + "0" * 64, intervals)
+    interval = pc_bounds(derive_observables(scenario, AnalysisMode.FULL))
+    doc = report_document(scenario, "sha256:" + "0" * 64, [AuditEntry(AnalysisMode.FULL, Method.CLOSED_FORM, interval)])
     assert render_json(doc) == render_json(doc)
     assert scenario_from_dict(doc["input"]["scenario"]) == scenario
 

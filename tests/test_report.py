@@ -57,9 +57,14 @@ class TestNumberFormatting:
         assert digest != digest_bytes(b"y")
 
 
+def full_closed_form(scenario):
+    """The report rows of `bound` with its default mode and method."""
+    return [AuditEntry(AnalysisMode.FULL, Method.CLOSED_FORM, pc_bounds(derive_observables(scenario)))]
+
+
 class TestReportDocument:
     def build(self, scenario, methods=(Method.CLOSED_FORM,), with_audit=False):
-        intervals = [pc_bounds(derive_observables(scenario, AnalysisMode.FULL))]
+        intervals = full_closed_form(scenario)
         audit = run_audit(scenario, methods=methods) if with_audit else None
         return report_document(scenario, digest_bytes(b"input"), intervals, audit=audit)
 
@@ -88,7 +93,7 @@ class TestReportDocument:
     def test_error_rows_have_the_interval_row_fields(self):
         method = Method.CLOSED_FORM
         entries = (
-            AuditEntry(AnalysisMode.FULL, method, PcInterval(0.1, 0.2, method, AnalysisMode.FULL, notes=("n",))),
+            AuditEntry(AnalysisMode.FULL, method, PcInterval(0.1, 0.2, notes=("n",))),
             AuditEntry(AnalysisMode.IGNORE_MEDIATOR, method, None, "P(R=1|E=1) is 0"),
             AuditEntry(AnalysisMode.IGNORE_COVARIATE, method, None, "P(E=1) is 0"),
         )
@@ -117,7 +122,7 @@ class TestRenderers:
         doc = report_document(
             crossover_scenario,
             digest_bytes(b"input"),
-            [pc_bounds(derive_observables(crossover_scenario, AnalysisMode.FULL))],
+            full_closed_form(crossover_scenario),
         )
         first = render_json(doc)
         second = render_json(doc)
@@ -129,7 +134,7 @@ class TestRenderers:
         doc = report_document(
             crossover_scenario,
             digest_bytes(b"input"),
-            [pc_bounds(derive_observables(crossover_scenario, AnalysisMode.FULL))],
+            full_closed_form(crossover_scenario),
         )
         lines = render_csv(doc).splitlines()
         assert lines[0] == "mode,method,lower,upper,lower_display,upper_display,notes,error"
@@ -145,15 +150,13 @@ class TestRenderers:
         assert lines[2].startswith("ignore-mediator,")
 
     def test_interval_payload_carries_notes(self):
-        interval = PcInterval(
-            0.1, 0.2, Method.CLOSED_FORM, AnalysisMode.FULL, notes=("something notable",)
-        )
+        interval = PcInterval(0.1, 0.2, notes=("something notable",))
         doc = report_document(
             scenario_from_dict(
                 {"structure": "basic", "response": {"E=0": 0.12, "E=1": 0.3}}
             ),
             digest_bytes(b"input"),
-            [interval],
+            [AuditEntry(AnalysisMode.FULL, Method.CLOSED_FORM, interval)],
         )
         assert doc["intervals"][0]["notes"] == ["something notable"]
 
@@ -207,7 +210,9 @@ class TestJsonWriter:
             digest = digest_bytes(repr(scenario).encode())
             docs = [scenario_to_dict(scenario), report_document(scenario, digest, (), run_audit(scenario, both))]
             for mode in applicable_modes(structure):
-                docs.append(report_document(scenario, digest, compute_intervals(scenario, mode, both)))
+                intervals = compute_intervals(scenario, mode, both)
+                entries = [AuditEntry(mode, method, iv) for method, iv in zip(both, intervals)]
+                docs.append(report_document(scenario, digest, entries))
             for doc in docs:
                 assert render_json(doc) == dumps(doc)
 

@@ -7,9 +7,7 @@ import pytest
 
 from causabound import (
     REFERENCE_CASES,
-    AnalysisMode,
     ContingencyTable,
-    Method,
     PcInterval,
     ScenarioFormatError,
     derive_observables,
@@ -29,6 +27,13 @@ def test_cli_import_skips_dataclasses_and_inspect():
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_fractions_to_the_exact_path():
+    # only an ill-conditioned cell needs exact arithmetic, and `fractions` pulls in `decimal`
+    code = "import sys, causabound.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
@@ -71,7 +76,7 @@ def test_unsorted_cells_are_rejected(trial_counts):
 
 
 def test_replace_rechecks_the_interval():
-    interval = PcInterval(0.2, 0.5, Method.CLOSED_FORM, AnalysisMode.FULL)
+    interval = PcInterval(0.2, 0.5)
     assert interval._replace(upper=0.6).width == pytest.approx(0.4)
     with pytest.raises(ValueError, match="invalid interval"):
         interval._replace(lower=0.7)
