@@ -9,6 +9,9 @@ undefined for the given distribution.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
+import stat
 import sys
 
 from .audit import AuditEntry, compute_intervals, run_audit
@@ -33,6 +36,7 @@ _METHODS = {
 }
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves every `main` call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causabound",
@@ -76,6 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_input(path: str) -> tuple[Scenario, str]:
     """Load and validate a scenario from .json or .csv (estimated); return it with its digest."""
+    # the file is read for the digest and again to parse: the second read of a pipe would wait forever
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ScenarioFormatError(f"input must be a regular file: {path!r}")
     with open(path, "rb") as fh:
         digest = digest_bytes(fh.read())
     if path.endswith(".json"):

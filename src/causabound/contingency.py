@@ -213,18 +213,12 @@ def expected_counts(scenario: Scenario, total: int) -> dict[tuple[int, ...], flo
     for s, (p_s, p_e1) in enumerate(zip(prior, scenario.exposure)):
         stratum = (s,) if st.has_covariate else ()
         for e in (0, 1):
-            p_e = p_e1 if e == 1 else 1.0 - p_e1
-            if st.has_mediator:
-                m1 = scenario.mediator[s][e]  # type: ignore[index]
-                for m in (0, 1):
-                    p_m = m1 if m == 1 else 1.0 - m1
-                    r1 = scenario.response[s][m]
-                    for r in (0, 1):
-                        p_r = r1 if r == 1 else 1.0 - r1
-                        out[(e, m, r, *stratum)] = total * p_s * p_e * p_m * p_r
-            else:
-                r1 = scenario.response[s][e]
-                for r in (0, 1):
-                    p_r = r1 if r == 1 else 1.0 - r1
-                    out[(e, r, *stratum)] = total * p_s * p_e * p_r
+            # the tables' variables follow E in canonical order, each factor multiplied on left to right
+            for values in itertools.product((0, 1), repeat=len(st.tables)):
+                level = {"E": e, **{var: x for (_, var, _), x in zip(st.tables, values)}}
+                count = total * p_s * (p_e1 if e == 1 else 1.0 - p_e1)
+                for (name, _, given), x in zip(st.tables, values):
+                    p1 = getattr(scenario, name)[s][level[given]]
+                    count *= p1 if x == 1 else 1.0 - p1
+                out[(e, *values, *stratum)] = count
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._version import __version__
-from .audit import AuditEntry, applicable_modes, compute_intervals
+from .audit import run_audit
 from .bounds import Method
 from .contingency import ContingencyTable, estimate_from_counts
 from .report import interval_payload
@@ -96,18 +96,16 @@ def demo_document() -> tuple[dict, bool]:
     for case in REFERENCE_CASES:
         expected_by_mode = {mode: (lo, hi) for mode, lo, hi in case.expected}
         rows = []
-        for mode in applicable_modes(case.scenario.structure):
-            expected = expected_by_mode.get(mode)
-            for method, interval in zip(methods, compute_intervals(case.scenario, mode, methods)):
-                row = interval_payload(AuditEntry(mode, method, interval))
-                del row["notes"]
-                got = (row["lower_display"], row["upper_display"])
-                if expected is not None:
-                    checked += 1
-                    row["expected_display"] = [expected[0], expected[1]]
-                    row["matches"] = got == expected
-                    ok = ok and row["matches"]
-                rows.append(row)
+        for entry in run_audit(case.scenario, methods).entries:
+            row = interval_payload(entry)
+            del row["notes"]
+            expected = expected_by_mode.get(entry.mode)
+            if expected is not None:
+                checked += 1
+                row["expected_display"] = [expected[0], expected[1]]
+                row["matches"] = (row["lower_display"], row["upper_display"]) == expected
+                ok = ok and row["matches"]
+            rows.append(row)
         doc_cases.append(
             {
                 "name": case.name,

@@ -58,8 +58,7 @@ def chain_response(mediator: Pair, response: Pair, exposure_value: int) -> float
 class ObservableSet(NamedTuple):
     """Inputs to the closed-form bounds, plus provenance notes.
 
-    `structure` is the effective structure after the mode's reductions;
-    the mode itself is not kept, as the audit labels each interval.
+    The audit labels each interval, so no mode or structure is kept.
     Every set is stratified: a structure without a covariate is one stratum
     of weight 1.  `stratum_weights` are P(S=s|E=1), `stratum_response` the
     rows (P(R=1|E=0,S=s), P(R=1|E=1,S=s)), and `stratum_mediator_summary`
@@ -74,7 +73,6 @@ class ObservableSet(NamedTuple):
     it is not defined at all (0/0, or an unavailable marginal).
     """
 
-    structure: Structure
     p_r1_given_e1: float
     p_r1_given_e0: float | None
     risk_ratio: float | None
@@ -240,7 +238,7 @@ def observe(scenario: Scenario, reduced: Scenario) -> ObservableSet:
                 f"P(R=1|E=1) {float(p1):.12g} vs {float(truth1):.12g}, "
                 f"P(R=1|E=0) {float(p0):.12g} vs {float(truth0):.12g}",
             )
-    return ObservableSet(st, p1, p0, rr, weights, tuple(zip(rows0, rows1)), quads, notes)
+    return ObservableSet(p1, p0, rr, weights, tuple(zip(rows0, rows1)), quads, notes)
 
 
 def derive_observables(scenario: Scenario, mode: AnalysisMode = AnalysisMode.FULL) -> ObservableSet:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .bounds import PcInterval, finish_interval, require_denominator
 from .frechet import FrechetBox, frechet_box
-from .observables import response_rows, stratum_posterior
+from .observables import _mix, response_rows, stratum_posterior
 from .scenario import Scenario, ordered_sum
 
 
@@ -107,17 +107,17 @@ def _points(boxes: StratumBoxes, axis: Callable[[FrechetBox], Sequence[float]]) 
 def scenario_boxes(scenario: Scenario) -> tuple[tuple[StratumBoxes, ...], float]:
     """The per-stratum search spaces and the PC denominator P(R=1|E=1), checked usable.
 
-    The stratum weights P(S=s|E=1) and the per-stratum P(R=1|E=1,S=s) come
-    from the same functions the closed form uses; the boxes and the
-    objective are the oracle's own.
+    The stratum weights P(S=s|E=1), the per-stratum P(R=1|E=1,S=s) and
+    their weighted sum come from the same functions the closed form uses;
+    the boxes and the objective are the oracle's own.
     """
     weights = stratum_posterior(scenario, 1)
     # one box per stratum of each table, the response table first as in StratumBoxes
     tables = reversed(scenario.structure.tables)
     boxes = [[frechet_box(p0, p1) for p0, p1 in getattr(scenario, name)] for name, _, _ in tables]
     strata = tuple(map(StratumBoxes, weights, *boxes))
-    denominator = ordered_sum(weight * r1 for weight, r1 in zip(weights, response_rows(scenario, 1)))
-    return strata, require_denominator(denominator)
+    # the P(R=1|E=1) `observe` gives the closed form, so both methods divide by the same float
+    return strata, require_denominator(_mix(weights, response_rows(scenario, 1)))
 
 
 def _search(

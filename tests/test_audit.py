@@ -16,11 +16,14 @@ from causabound import (
     Structure,
     applicable_modes,
     classify_relation,
+    compute_intervals,
     random_scenario,
     run_audit,
     scenario_digest,
     scenario_from_dict,
+    validate_scenario,
 )
+from causabound.checks import TOLERANCE
 from causabound.cli import EXIT_OK, main
 from conftest import DATA
 
@@ -249,3 +252,53 @@ class TestScenarioDigest:
 
     def test_differs_for_different_scenarios(self, crossover_scenario, trial_scenario):
         assert scenario_digest(crossover_scenario) != scenario_digest(trial_scenario)
+
+
+# four covariate rows (P(R=1|E=0,S=s), P(R=1|E=1,S=s)) whose P(R=1|E=1,S=s) average 7e-4
+SPARSE_RESPONSE_ROWS = ((1e-4, 7e-4), (0.9996, 1e-3), (0.3, 4e-4), (2e-4, 7e-4))
+
+
+def cycled_covariate_scenario(k):
+    """K equally likely, equally exposed strata cycling SPARSE_RESPONSE_ROWS, so P(R=1|E=1) is about 7e-4."""
+    response = tuple(SPARSE_RESPONSE_ROWS[s % 4] for s in range(k))
+    return Scenario(Structure.COVARIATE, response, exposure=(0.5,) * k, covariate_prior=(1 / k,) * k)
+
+
+class TestLargeK:
+    """Hundreds to thousands of strata: the exact-path trigger's K factor, and agreement across modes."""
+
+    BOTH = (Method.CLOSED_FORM, Method.ORACLE)
+
+    @pytest.mark.parametrize(("k", "exact"), [(1024, False), (2048, True)])
+    def test_trigger_scales_with_the_stratum_count(self, k, exact):
+        # 4 K u / r1 is about 6.5e-10 at K = 1,024 and 1.3e-9 at K = 2,048, either side of the 1e-9 tolerance
+        scenario = cycled_covariate_scenario(k)
+        assert not validate_scenario(scenario)
+        closed, oracle = compute_intervals(scenario, AnalysisMode.FULL, self.BOTH)
+        for iv in (closed, oracle):
+            assert any(note.endswith("endpoints computed exactly") for note in iv.notes) is exact, iv.notes
+            assert 0.39 < iv.lower < 0.4 and 0.78 < iv.upper < 0.79, iv
+        if exact:
+            assert (closed.lower, closed.upper) == (oracle.lower, oracle.upper)
+        else:
+            assert abs(closed.lower - oracle.lower) <= TOLERANCE
+            assert abs(closed.upper - oracle.upper) <= TOLERANCE
+
+    def test_mediator_covariate_audit_methods_agree(self):
+        rng, k = random.Random(1024), 1024
+        raw = [rng.uniform(0.5, 1.5) for _ in range(k)]
+        scenario = Scenario(
+            Structure.MEDIATOR_COVARIATE,
+            response=tuple((rng.random(), rng.random()) for _ in range(k)),
+            mediator=tuple((rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)) for _ in range(k)),
+            exposure=tuple(rng.uniform(0.1, 0.9) for _ in range(k)),
+            covariate_prior=tuple(w / sum(raw) for w in raw),
+        )
+        assert not validate_scenario(scenario)
+        report = run_audit(scenario, self.BOTH)
+        assert [e.mode for e in report.entries[::2]] == list(applicable_modes(Structure.MEDIATOR_COVARIATE))
+        for closed, oracle in zip(report.entries[::2], report.entries[1::2]):
+            assert (closed.method, oracle.method, closed.mode) == (*self.BOTH, oracle.mode)
+            assert closed.error is None and oracle.error is None
+            assert abs(closed.interval.lower - oracle.interval.lower) <= TOLERANCE, closed.mode
+            assert abs(closed.interval.upper - oracle.interval.upper) <= TOLERANCE, closed.mode

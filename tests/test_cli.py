@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +35,7 @@ from causabound.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_UNDEFINED,
+    _build_parser,
     main,
 )
 from conftest import COLLAPSE_ROUNDING, DATA, FULL_MODE_UNDERFLOW, edge_scenario_docs, fraction_image
@@ -152,6 +156,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv, timeout=60):
+    """The CLI in a new interpreter, with usage lines wrapped at 80 columns."""
+    env = {**os.environ, "COLUMNS": "80"}
+    done = subprocess.run(
+        [sys.executable, "-m", "causabound.cli", *argv], capture_output=True, text=True, timeout=timeout, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestBound:
@@ -361,6 +374,24 @@ class TestBound:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "bound")
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need POSIX")
+    @pytest.mark.parametrize("command", ["bound", "audit"])
+    def test_named_pipe_is_an_input_error_not_a_hang(self, tmp_path, command):
+        # opening a pipe with no writer blocks, so the check must come before the first read
+        path = tmp_path / "pipe.json"
+        os.mkfifo(path)
+        code, out, err = run_fresh(command, str(path), timeout=30)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert "regular file" in err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_matches_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _build_parser() is _build_parser()
+        for argv in (["bound"], ["bound", TRIAL_CSV, "--method", "both"], ["audit", "--method", "none", TRIAL_CSV]):
+            assert run(capsys, *argv) == run_fresh(*argv), argv
 
 
 class TestAudit:
