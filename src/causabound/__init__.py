@@ -20,7 +20,7 @@ from .audit import (
 )
 from .bounds import Method, PcInterval, pc_bounds
 from .checks import SweepReport, equivalence_sweep, render_sweep_report
-from .contingency import ContingencyTable, estimate_from_counts, expected_counts, read_counts_csv
+from .contingency import ContingencyTable, estimate_from_counts, read_counts_csv
 from .demo import REFERENCE_CASES, demo_document, run_demo
 from .errors import (
     CausaboundError,
@@ -30,9 +30,8 @@ from .errors import (
     UndefinedConditionalError,
     UndefinedPcError,
 )
-from .frechet import FrechetBox, frechet_box
 from .observables import ObservableSet, chain_response, derive_observables, reduce_scenario
-from .oracle import OracleCertificate, grid_scan_bounds, oracle_bounds
+from .oracle import FrechetBox, OracleCertificate, frechet_box, grid_scan_bounds, oracle_bounds
 from .randomgen import random_scenario
 from .report import (
     digest_bytes,
@@ -84,7 +83,6 @@ __all__ = [
     "display",
     "equivalence_sweep",
     "estimate_from_counts",
-    "expected_counts",
     "frechet_box",
     "full_precision",
     "grid_scan_bounds",

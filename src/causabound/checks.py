@@ -3,10 +3,11 @@
 Sweeps seeded random scenarios of every structure, computes both the
 closed-form interval and the corner-enumeration oracle on each, and
 tracks the worst endpoint discrepancy.  The two derivations share only the
-scenario, its stratum weights P(S=s|E=1) (`observables.stratum_posterior`)
-and its per-stratum P(R=1|E=1,S=s) (`observables.response_rows`);
-past those, agreement at 1e-9 over a sweep is strong evidence the closed
-form is the exact solution of its optimization problem.
+scenario, its stratum weights P(S=s|E=1) (`observables.stratum_posterior`),
+its per-stratum P(R=1|E=1,S=s) (`observables.response_rows`) and the
+P(R=1|E=1) sum over them (`observables._mix`); the Frechet box belongs to
+the oracle alone.  Past those, agreement at 1e-9 over a sweep is strong
+evidence the closed form is the exact solution of its optimization problem.
 """
 
 from __future__ import annotations

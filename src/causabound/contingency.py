@@ -176,7 +176,7 @@ def estimate_from_counts(table: ContingencyTable) -> Scenario:
     conditional is the ratio of two integer margins, all summed in one pass
     over the cells; the exposure table (the marginal P(E=1) when S is
     absent) and the covariate prior come along for free, so the result
-    fully determines a joint law to regenerate expected counts from.
+    fully determines a joint law.
     """
     structure = next(s for s in Structure if s.variables == table.variables)
     count = _margin_counter(table)
@@ -195,30 +195,3 @@ def estimate_from_counts(table: ContingencyTable) -> Scenario:
     }
     return Scenario(structure, exposure=exposure, covariate_prior=prior, **tables)
 
-
-def expected_counts(scenario: Scenario, total: int) -> dict[tuple[int, ...], float]:
-    """Expected cell counts under the scenario's factorized law.
-
-    Assignments use the structure's canonical variable order.  Needs the
-    exposure information (estimation always provides it).  Counts are
-    real-valued: the fitted law of a mediator structure can place
-    fractional mass on cells whose data violated the missing E -> R edge.
-    """
-    st = scenario.structure
-    if scenario.exposure is None:
-        raise ValueError("exposure information required to reconstruct joint counts")
-    out: dict[tuple[int, ...], float] = {}
-    # without S the single stratum has weight 1 and no S coordinate
-    prior = scenario.covariate_prior or (1.0,)
-    for s, (p_s, p_e1) in enumerate(zip(prior, scenario.exposure)):
-        stratum = (s,) if st.has_covariate else ()
-        for e in (0, 1):
-            # the tables' variables follow E in canonical order, each factor multiplied on left to right
-            for values in itertools.product((0, 1), repeat=len(st.tables)):
-                level = {"E": e, **{var: x for (_, var, _), x in zip(st.tables, values)}}
-                count = total * p_s * (p_e1 if e == 1 else 1.0 - p_e1)
-                for (name, _, given), x in zip(st.tables, values):
-                    p1 = getattr(scenario, name)[s][level[given]]
-                    count *= p1 if x == 1 else 1.0 - p1
-                out[(e, *values, *stratum)] = count
-    return out

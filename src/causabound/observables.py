@@ -18,9 +18,9 @@ with P(E=e) = sum_s P(S=s) P(E=e|S=s) for either e: the weights are their
 joint terms over the sum of those terms, so they add up to 1.  A zero
 P(E=e) makes the weights, and everything conditioned on E=e, undefined; so
 does a subnormal one, whose products have underflowed.  Without S the one
-stratum has weight 1.  `stratum_posterior` is the only place these weights
-are computed, and the oracle reads them from it too; P(S=s|M=m) comes from
-the same Bayes rule.  Every float total is `ordered_sum`'s left-to-right one.
+stratum has weight 1.  One Bayes function, `_posterior`, gives both these
+weights (through `stratum_posterior`, which the oracle reads too) and
+P(S=s|M=m).  Every float total is `ordered_sum`'s left-to-right one.
 
 Collapses.  Ignoring a variable means marginalizing it out of the tables
 the analyst keeps: dropping M replaces the mediator machinery with the
@@ -37,6 +37,7 @@ entry that rounding left just outside [0, 1].  The literals are ints, so a
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import InapplicableModeError, UndefinedConditionalError
@@ -101,8 +102,10 @@ def _usable(p: float, event: str, consequence: str) -> float:
     return p
 
 
-def _posterior(joint: list[float], event: str, consequence: str) -> tuple[float, ...]:
-    """Bayes' rule: the joint terms P(S=s) P(X=x|S=s) over their sum P(X=x), which `_usable` checks."""
+def _posterior(scenario: Scenario, p_x1: Iterable[float], x: int, event: str, consequence: str) -> tuple[float, ...]:
+    """P(S=s|X=x) by Bayes' rule from each stratum's P(X=1|S=s) in `p_x1`; `_usable` checks the sum P(X=x)."""
+    strata = zip(scenario.covariate_prior, p_x1)  # type: ignore[arg-type]
+    joint = [prior * (p if x == 1 else 1 - p) for prior, p in strata]
     total = _usable(ordered_sum(joint), event, consequence)
     return tuple(j / total for j in joint)
 
@@ -114,21 +117,15 @@ def stratum_posterior(scenario: Scenario, e: int) -> tuple[float, ...]:
     """
     if not scenario.structure.has_covariate:
         return (1,)
-    strata = zip(scenario.covariate_prior, scenario.exposure)  # type: ignore[arg-type]
-    joint = [prior * (expo if e == 1 else 1 - expo) for prior, expo in strata]
-    return _posterior(joint, f"P(E={e})", f"nothing is conditionally defined given E={e}")
+    consequence = f"nothing is conditionally defined given E={e}"
+    return _posterior(scenario, scenario.exposure, e, f"P(E={e})", consequence)  # type: ignore[arg-type]
 
 
 def _mediator_posterior(scenario: Scenario, m: int) -> tuple[float, ...]:
     """P(S=s|M=m) from the joint law of a mediator_covariate scenario."""
-    joint = []
-    strata = zip(scenario.covariate_prior, scenario.exposure, scenario.mediator)  # type: ignore[arg-type]
-    for prior, expo, m_pair in strata:
-        p_m_given_s = expo * m_pair[1] + (1 - expo) * m_pair[0]
-        if m == 0:
-            p_m_given_s = 1 - p_m_given_s
-        joint.append(prior * p_m_given_s)
-    return _posterior(joint, f"P(M={m})", f"the collapsed response table P(R=1|M={m}) is undefined")
+    strata = zip(scenario.exposure, scenario.mediator)  # type: ignore[arg-type]
+    p_m1 = [expo * m1 + (1 - expo) * m0 for expo, (m0, m1) in strata]
+    return _posterior(scenario, p_m1, m, f"P(M={m})", f"the collapsed response table P(R=1|M={m}) is undefined")
 
 
 def response_rows(scenario: Scenario, e: int) -> tuple[float, ...]:

@@ -343,10 +343,7 @@ def _table_from_json(obj: Any, label: str, var_levels: dict[str, int]) -> dict[t
             raise ScenarioFormatError(f"{label}: duplicate condition {key!r}")
         if not _is_probability_like(value):
             raise ScenarioFormatError(f"{label}: value for {key!r} is not a number")
-        try:
-            table[assignment] = float(value)
-        except OverflowError:  # only an int past the float range; the valid path makes no extra call
-            table[assignment] = _as_float(value)
+        table[assignment] = _as_float(value)
     if len(table) != len(canonical):
         raise ScenarioFormatError(f"{label}: expected {len(canonical)} entries, found {len(table)}")
     return table

@@ -28,6 +28,7 @@ from causabound import (
     scenario_from_dict,
     validate_scenario,
 )
+from causabound import checks, equivalence_sweep
 from causabound import demo as demo_module
 from causabound.checks import TOLERANCE
 from causabound.cli import (
@@ -131,6 +132,50 @@ MALFORMED_INPUTS = {
     "plus_sign_level.csv": b"E,R,count\n+0,0,88\n0,1,12\n1,0,70\n1,1,30\n",
     "underscore_count.csv": b"E,R,count\n0,0,1_000\n0,1,12\n1,0,70\n1,1,30\n",
     "arabic_indic_count.csv": "E,R,count\n0,0,\u0661\u0662\n0,1,12\n1,0,70\n1,1,30\n".encode(),
+}
+
+# inputs each loader refuses with its own message: file name -> (content, message)
+LOADER_ERRORS = {
+    "repeated_header_variable.csv": (
+        b"E,E,R,count\n0,0,0,1\n",
+        "variables must be a subset of ('E', 'M', 'R', 'S') without repeats",
+    ),
+    "one_observed_stratum.csv": (
+        b"E,R,S,count\n0,0,0,5\n0,1,0,5\n1,0,0,5\n1,1,0,5\n",
+        "covariate S needs at least 2 observed levels",
+    ),
+    "no_bytes.csv": (b"", "counts file is empty"),
+    "unknown_header_variable.csv": (b"E,X,R,count\n0,0,0,1\n", "unknown variables in header: ['X']"),
+    "short_row.csv": (b"E,R,count\n0,0\n", "line 2: expected 3 fields"),
+    "negative_stratum.csv": (b"E,R,S,count\n0,0,-1,5\n", "line 2: S must be nonnegative"),
+    "repeated_assignment.csv": (b"E,R,count\n0,0,5\n0,0,6\n", "line 3: duplicate assignment {'E': 0, 'R': 0}"),
+    "array_document.json": (b"[]", "scenario document must be a JSON object"),
+    "array_table.json": (
+        b'{"structure": "basic", "response": [0.1, 0.3]}',
+        "response: expected an object of condition keys",
+    ),
+    "text_entry.json": (
+        b'{"structure": "basic", "response": {"E=0": "x", "E=1": 0.3}}',
+        "response: value for 'E=0' is not a number",
+    ),
+    "bare_variable_key.json": (
+        b'{"structure": "basic", "response": {"E": 0.1, "E=1": 0.3}}',
+        "response: bad condition key 'E'",
+    ),
+    "one_entry_prior.json": (
+        b'{"structure": "covariate", "covariate_prior": [1.0], "exposure": {"S=0": 0.5}, '
+        b'"response": {"E=0,S=0": 0.1, "E=1,S=0": 0.3}}',
+        "covariate_prior: expected an array of at least 2 weights",
+    ),
+    "text_prior.json": (
+        b'{"structure": "covariate", "covariate_prior": [0.5, "x"], "exposure": {"S=0": 0.5, "S=1": 0.5}, '
+        b'"response": {"E=0,S=0": 0.1, "E=1,S=0": 0.3, "E=0,S=1": 0.1, "E=1,S=1": 0.3}}',
+        "covariate_prior: entries must be numbers",
+    ),
+    "text_exposure.json": (
+        b'{"structure": "basic", "exposure": "x", "response": {"E=0": 0.1, "E=1": 0.3}}',
+        "exposure: expected a bare number for this structure",
+    ),
 }
 
 # only stratum 0 has unexposed members, so P(R=1|E=0) = 0 and the risk ratio is
@@ -239,6 +284,17 @@ class TestBound:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("causabound: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(LOADER_ERRORS))
+    def test_loader_error_is_an_input_error(self, capsys, tmp_path, name):
+        content, message = LOADER_ERRORS[name]
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, "bound", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == f"causabound: {message}\n"
 
     @pytest.mark.parametrize("name", sorted(OVER_RANGE_INTEGERS))
     def test_integer_past_the_float_range_is_a_validation_error(self, capsys, tmp_path, name):
@@ -657,6 +713,21 @@ class TestOracleCheck:
         code, _, err = run(capsys, "oracle-check", "--trials", "0")
         assert code == EXIT_INPUT_ERROR
         assert err
+
+    def test_failure_prints_each_worst_scenario_for_replay(self, capsys, monkeypatch):
+        # below every gap, so each structure fails; those with a nonzero gap have a worst scenario
+        monkeypatch.setattr(checks, "TOLERANCE", -1)
+        code, out, _ = run(capsys, "oracle-check", "--seed", "3", "--trials", "5")
+        assert code == EXIT_CHECK_FAILED
+        lines = out.splitlines()
+        assert lines.count("DISAGREEMENT beyond -1e+00; worst offenders follow for replay:") == 1
+        replayed = {}
+        for label, doc in zip(lines, lines[1:]):
+            if doc.startswith("    {"):
+                replayed[label.split()[0]] = scenario_from_dict(json.loads(doc))
+        results = equivalence_sweep(3, 5).results
+        worst = {r.structure.value: r.worst_scenario for r in results if r.worst_scenario is not None}
+        assert worst and replayed == worst
 
 
 class TestDemo:

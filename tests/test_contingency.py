@@ -14,7 +14,6 @@ from causabound import (
     ScenarioFormatError,
     Structure,
     estimate_from_counts,
-    expected_counts,
     load_scenario,
     read_counts_csv,
 )
@@ -42,6 +41,18 @@ class TestTable:
         )
         assert table.variables == ("E", "R")
         assert table.count_where(E=1, R=1) == 30
+
+    def test_constructor_rejects_variables_out_of_canonical_order(self):
+        cells = tuple((a, 1) for a in itertools.product((0, 1), repeat=2))
+        with pytest.raises(ScenarioFormatError) as caught:
+            ContingencyTable(("R", "E"), (2, 2), cells)
+        assert str(caught.value) == "variables ('R', 'E') not in canonical order"
+
+    def test_exposure_level_two_rejected(self):
+        counts = {(e, r): 1 for e in (0, 1, 2) for r in (0, 1)}
+        with pytest.raises(ScenarioFormatError) as caught:
+            ContingencyTable.from_cells(("E", "R"), counts)
+        assert str(caught.value) == "assignments out of range: [(2, 0), (2, 1)]"
 
     def test_missing_assignment_rejected(self):
         with pytest.raises(ScenarioFormatError, match="missing count"):
@@ -198,25 +209,3 @@ class TestEstimation:
         with pytest.raises(EmptyConditioningCellError) as caught:
             estimate_from_counts(table)
         assert str(caught.value) == "no observations with E=1,S=1; P(M=1|E=1,S=1) is 0/0"
-
-
-class TestExpectedCounts:
-    def test_saturated_fit_reproduces_the_table(self, trial_counts):
-        est = estimate_from_counts(trial_counts)
-        fitted = expected_counts(est, trial_counts.total)
-        for assignment, count in trial_counts.cells:
-            assert fitted[assignment] == pytest.approx(count, abs=1e-9)
-            assert round(fitted[assignment]) == count
-
-    def test_model_consistent_stratified_fit_reproduces_the_table(self):
-        table = read_counts_csv(DATA / "mediated_confounding_counts.csv")
-        est = estimate_from_counts(table)
-        fitted = expected_counts(est, table.total)
-        assert set(fitted) == {a for a, _ in table.cells}
-        for assignment, count in table.cells:
-            assert fitted[assignment] == pytest.approx(count, abs=1e-6)
-            assert round(fitted[assignment]) == count
-
-    def test_fitted_total_matches(self, crossover_scenario):
-        fitted = expected_counts(crossover_scenario, 1000)
-        assert sum(fitted.values()) == pytest.approx(1000, abs=1e-9)

@@ -22,7 +22,6 @@ from causabound import (
     compute_intervals,
     derive_observables,
     estimate_from_counts,
-    expected_counts,
     frechet_box,
     grid_scan_bounds,
     oracle_bounds,
@@ -259,19 +258,6 @@ def test_ignoring_both_is_ignoring_the_mediator_then_the_covariate(scenario):
     both = _reduced_or_error_type(scenario, AnalysisMode.IGNORE_BOTH)
     composed = _reduced_or_error_type(scenario, AnalysisMode.IGNORE_MEDIATOR, AnalysisMode.IGNORE_COVARIATE)
     assert both == composed
-
-
-@settings(max_examples=50)
-@given(st.tuples(*[st.integers(min_value=1, max_value=400)] * 4))
-def test_saturated_estimation_reproduces_counts(cells):
-    table = ContingencyTable.from_cells(
-        ("E", "R"),
-        {(0, 0): cells[0], (0, 1): cells[1], (1, 0): cells[2], (1, 1): cells[3]},
-    )
-    scenario = estimate_from_counts(table)
-    fitted = expected_counts(scenario, table.total)
-    for assignment, count in table.cells:
-        assert fitted[assignment] == pytest.approx(count, abs=1e-6)
 
 
 @st.composite

@@ -249,6 +249,58 @@ class TestValidation:
         bare = Scenario(Structure.BASIC, response=(0.12, 0.3))
         assert validate_scenario(bare) == ("response: expected one pair per stratum",)
 
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            (
+                Scenario("basic", ((0.1, 0.3),)),
+                "structure: expected one of ['basic', 'mediator', 'covariate', 'mediator_covariate'], found 'basic'",
+            ),
+            (
+                Scenario(Structure.COVARIATE, ((0.1, 0.3), (0.2, 0.4)), exposure=(0.5, 0.5)),
+                "covariate_prior: expected a tuple of at least 2 stratum weights",
+            ),
+            (
+                Scenario(Structure.COVARIATE, ((0.1, 0.3),), exposure=(0.5,), covariate_prior=(1.0,)),
+                "covariate_prior: expected a tuple of at least 2 stratum weights",
+            ),
+            (
+                Scenario(Structure.BASIC, ((0.1, 0.3),), covariate_prior=(0.5, 0.5)),
+                "covariate_prior: not defined for structure basic",
+            ),
+            (
+                Scenario(Structure.COVARIATE, ((0.1, 0.3), (0.2, 0.4)), exposure=(0.5,), covariate_prior=(0.5, 0.5)),
+                "exposure: expected one P(E=1|S=s) entry per stratum",
+            ),
+            (
+                Scenario(
+                    Structure.COVARIATE,
+                    ((0.1, 0.3), (0.2, 0.4)),
+                    mediator=((0.2, 0.8), (0.2, 0.8)),
+                    exposure=(0.5, 0.5),
+                    covariate_prior=(0.5, 0.5),
+                ),
+                "mediator: not defined for structure covariate",
+            ),
+            (
+                Scenario(Structure.COVARIATE, ((0.1, 0.3), (0.2,)), exposure=(0.5, 0.5), covariate_prior=(0.5, 0.5)),
+                "response[S=1]: expected a pair indexed by E=0,1",
+            ),
+        ],
+        ids=[
+            "structure-not-a-Structure",
+            "prior-missing",
+            "prior-of-one-entry",
+            "prior-on-basic",
+            "exposure-of-wrong-length",
+            "mediator-on-covariate",
+            "response-entry-not-a-pair",
+        ],
+    )
+    def test_shape_only_a_library_caller_can_build(self, scenario, message):
+        # the JSON and CSV loaders refuse these shapes before a Scenario exists
+        assert validate_scenario(scenario) == (message,)
+
     def test_values_are_never_renormalized(self):
         sc = Scenario(
             Structure.COVARIATE,
