@@ -113,23 +113,32 @@ def compute_intervals(
     """The PC interval of `scenario` analysed under `mode`, once per method in `methods`.
 
     The scenario is reduced once for every method, and both methods read
-    the tables as the Scenario stores them.  A float endpoint is within
-    4 K u / r1 of exact, where K is `scenario`'s stratum count, u = 2**-53
-    and r1 the P(R=1|E=1) the method divided by; where that bound exceeds
-    PROBABILITY_TOLERANCE, the cell is computed again on the `Fraction`
-    image of `scenario`, whose collapse does not round, and reports the
-    floats of the exact endpoints with a note naming r1.
+    the tables as the Scenario stores them and divide by the same float
+    r1 = P(R=1|E=1).  A float endpoint is within 4 K u / r1 of exact, where
+    K is `scenario`'s stratum count and u = 2**-53.  Where that bound
+    exceeds PROBABILITY_TOLERANCE, the `Fraction` image of `scenario`,
+    whose collapse does not round, is built and reduced once, and every
+    method runs again on it and reports the floats of its exact endpoints
+    with a note naming r1: a cell is exact for every method or for none.
     """
     reduced = reduce_scenario(scenario, mode)
-    intervals = []
-    for method in methods:
-        interval, r1 = _interval(scenario, reduced, method)
-        if 4 * scenario.n_strata * _UNIT_ROUNDOFF / r1 > PROBABILITY_TOLERANCE:
-            note = f"P(R=1|E=1) = {r1:.12g}: float rounding could exceed {PROBABILITY_TOLERANCE:g}, "
-            note += "endpoints computed exactly"
-            interval = PcInterval(*_exact_endpoints(scenario, mode, method), interval.notes + (note,))
-        intervals.append(interval)
-    return tuple(intervals)
+    results = [_interval(scenario, reduced, method) for method in methods]
+    if not (results and 4 * scenario.n_strata * _UNIT_ROUNDOFF / results[0][1] > PROBABILITY_TOLERANCE):
+        return tuple(interval for interval, _ in results)
+    from fractions import Fraction  # imported here only: a module-level import slows every CLI start
+
+    def exact(value: Any) -> Any:
+        return value if value is None else tuple(map(exact, value)) if isinstance(value, tuple) else Fraction(value)
+
+    image = Scenario(scenario.structure, *map(exact, scenario[1:]))
+    image_reduced = reduce_scenario(image, mode)
+    note = f"P(R=1|E=1) = {results[0][1]:.12g}: float rounding could exceed {PROBABILITY_TOLERANCE:g}, "
+    note += "endpoints computed exactly"
+    exact_intervals = [_interval(image, image_reduced, method)[0] for method in methods]
+    return tuple(
+        PcInterval(float(ex.lower), float(ex.upper), interval.notes + (note,))
+        for (interval, _), ex in zip(results, exact_intervals)
+    )
 
 
 def _interval(scenario: Scenario, reduced: Scenario, method: Method) -> tuple[PcInterval, float]:
@@ -139,18 +148,6 @@ def _interval(scenario: Scenario, reduced: Scenario, method: Method) -> tuple[Pc
         return pc_bounds(observed), observed.p_r1_given_e1
     certificate = oracle_bounds(reduced)
     return certificate.interval, certificate.denominator
-
-
-def _exact_endpoints(scenario: Scenario, mode: AnalysisMode, method: Method) -> tuple[float, float]:
-    """The floats nearest `method`'s endpoints in exact arithmetic on the `Fraction` image of `scenario`."""
-    from fractions import Fraction  # imported here only: a module-level import slows every CLI start
-
-    def exact(value: Any) -> Any:
-        return value if value is None else tuple(map(exact, value)) if isinstance(value, tuple) else Fraction(value)
-
-    image = Scenario(scenario.structure, *map(exact, scenario[1:]))
-    interval, _ = _interval(image, reduce_scenario(image, mode), method)
-    return float(interval.lower), float(interval.upper)
 
 
 def run_audit(scenario: Scenario, methods: tuple[Method, ...] = (Method.CLOSED_FORM,)) -> AuditReport:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._version import __version__
 from .audit import run_audit
 from .bounds import Method
 from .contingency import ContingencyTable, estimate_from_counts
-from .report import interval_payload
+from .report import DOCUMENT_HEADER, interval_payload
 from .scenario import AnalysisMode, Scenario, Structure, scenario_to_dict
 
 
@@ -114,13 +113,7 @@ def demo_document() -> tuple[dict, bool]:
                 "intervals": rows,
             }
         )
-    doc = {
-        "tool": "causabound",
-        "version": __version__,
-        "cases": doc_cases,
-        "checked": checked,
-        "ok": ok,
-    }
+    doc = {**DOCUMENT_HEADER, "cases": doc_cases, "checked": checked, "ok": ok}
     return doc, ok
 
 

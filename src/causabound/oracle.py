@@ -25,8 +25,9 @@ raw maximum of 1 + 1 ulp is reported as 1.  The grid scan
 ('grid_scan_bounds') checks the corner argument itself: it runs the corner
 search (`_search`) on uniform grids that include the exact box ends, so it
 can never beat the corner search, at any resolution.  The search, its
-objective and its total (`ordered_sum`) are written once; what checks the
-formula itself is agreement with the independently derived closed form.
+objective, its total (`ordered_sum`) and the step from totals to interval
+(divide, clamp) are written once; what checks the formula itself is
+agreement with the independently derived closed form.
 The literals are ints, so a `Fraction` scenario gets an exact interval.
 Both searches take the scenario an analysis mode has already reduced
 (`observables.reduce_scenario`) and know nothing of the mode itself.
@@ -155,31 +156,24 @@ def _points(boxes: StratumBoxes, axis: Callable[[FrechetBox], Sequence[float]]) 
     return product(axis(boxes.mediator), axis(boxes.response))
 
 
-def scenario_boxes(scenario: Scenario) -> tuple[tuple[StratumBoxes, ...], float]:
-    """The per-stratum search spaces and the PC denominator P(R=1|E=1), checked usable.
+def _search(scenario: Scenario, axis: Callable[[FrechetBox], Sequence[float]], note: str) -> OracleCertificate:
+    """The extremal PC interval over the points on `axis` in `scenario`'s boxes, noted `note`, with its certificate.
 
     The stratum weights P(S=s|E=1), the per-stratum P(R=1|E=1,S=s) and
-    their weighted sum come from the same functions the closed form uses;
-    the boxes and the objective are the oracle's own.
+    their weighted sum, the denominator, come from the same functions the
+    closed form uses; the boxes and the objective are the oracle's own.
+    Each stratum's points are visited in `_points` order and ties keep the
+    first visitor.  The numerator totals are the strata's extreme weighted
+    terms added in stratum order; each is divided by the denominator and
+    the pair clamped into [0, 1].
     """
     weights = stratum_posterior(scenario, 1)
     # one box per stratum of each table, the response table first as in StratumBoxes
     tables = reversed(scenario.structure.tables)
-    boxes = [[frechet_box(p0, p1) for p0, p1 in getattr(scenario, name)] for name, _, _ in tables]
-    strata = tuple(map(StratumBoxes, weights, *boxes))
+    columns = [[frechet_box(p0, p1) for p0, p1 in getattr(scenario, name)] for name, _, _ in tables]
+    strata = tuple(map(StratumBoxes, weights, *columns))
     # the P(R=1|E=1) `observe` gives the closed form, so both methods divide by the same float
-    return strata, require_denominator(_mix(weights, response_rows(scenario, 1)))
-
-
-def _search(
-    strata: tuple[StratumBoxes, ...], axis: Callable[[FrechetBox], Sequence[float]]
-) -> tuple[float, float, tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
-    """The least and greatest numerator over the points on `axis`, and the assignments attaining them.
-
-    Each stratum's points are visited in `_points` order and ties keep the
-    first visitor.  The numerator totals are the strata's extreme weighted
-    terms added in stratum order.
-    """
+    denominator = require_denominator(_mix(weights, response_rows(scenario, 1)))
     extremes = []
     for boxes in strata:
         objective, weight = _objective(boxes), boxes.weight
@@ -192,8 +186,9 @@ def _search(
             if best_hi is None or value > best_hi:
                 best_hi, at_hi = value, qs
         extremes.append((best_lo, best_hi, at_lo, at_hi))
-    lows, highs, argmin, argmax = zip(*extremes)  # `scenario_boxes` has required a stratum
-    return ordered_sum(lows), ordered_sum(highs), argmin, argmax
+    lows, highs, argmin, argmax = zip(*extremes)  # `require_denominator` has required a stratum
+    interval = finish_interval(ordered_sum(lows) / denominator, ordered_sum(highs) / denominator, (note,))
+    return OracleCertificate(interval, strata, denominator, argmin, argmax)
 
 
 def oracle_bounds(scenario: Scenario) -> OracleCertificate:
@@ -203,11 +198,7 @@ def oracle_bounds(scenario: Scenario) -> OracleCertificate:
     mediator coordinate outermost) and ties keep the first visitor, so the
     reported certificate is the lexicographically smallest one.
     """
-    strata, denominator = scenario_boxes(scenario)
-    total_min, total_max, argmin, argmax = _search(strata, _corners)
-    notes = ("corner enumeration over the potential-outcome boxes",)
-    interval = finish_interval(total_min / denominator, total_max / denominator, notes)
-    return OracleCertificate(interval, strata, denominator, argmin, argmax)
+    return _search(scenario, _corners, "corner enumeration over the potential-outcome boxes")
 
 
 def grid_scan_bounds(scenario: Scenario, resolution: int) -> PcInterval:
@@ -219,7 +210,4 @@ def grid_scan_bounds(scenario: Scenario, resolution: int) -> PcInterval:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 to include both box ends")
-    strata, denominator = scenario_boxes(scenario)
-    total_min, total_max, _, _ = _search(strata, _grid(resolution))
-    notes = (f"uniform grid scan, {resolution} points per joint parameter",)
-    return finish_interval(total_min / denominator, total_max / denominator, notes)
+    return _search(scenario, _grid(resolution), f"uniform grid scan, {resolution} points per joint parameter").interval

@@ -78,6 +78,10 @@ def audit_payload(report: AuditReport) -> dict[str, Any]:
     }
 
 
+# every document opens with the tool's identity
+DOCUMENT_HEADER = {"tool": "causabound", "version": __version__}
+
+
 def report_document(
     scenario: Scenario,
     input_digest: str,
@@ -85,8 +89,7 @@ def report_document(
     audit: AuditReport | None = None,
 ) -> dict[str, Any]:
     doc: dict[str, Any] = {
-        "tool": "causabound",
-        "version": __version__,
+        **DOCUMENT_HEADER,
         "input": {"digest": input_digest, "scenario": scenario_to_dict(scenario)},
         "display": {
             "decimals": DISPLAY_DECIMALS,
@@ -120,42 +123,35 @@ def _scalar(value: Any) -> str:
 
 
 def _write(node: dict | list | tuple, out: list[str], indent: str) -> None:
-    """Append the text of one container, opened where `out` ends and closed at `indent`."""
+    """Append the text of one container, opened where `out` ends and closed at `indent`.
+
+    Dict members and list items share one value dispatch; a member only
+    adds its key, checked str, to the head it is written after.
+    """
+    is_dict = type(node) is dict
+    if not node:
+        out.append("{}" if is_dict else "[]")
+        return
     inner = indent + "  "
-    if type(node) is dict:
-        if not node:
-            out.append("{}")
-            return
-        head = "{\n" + inner
-        for key, value in node.items():
+    separator = ",\n" + inner
+    head = ("{\n" if is_dict else "[\n") + inner
+    for value in node.items() if is_dict else node:
+        if is_dict:
+            # rebinding `value` frees the item pair, which dict iteration then reuses
+            key, value = value
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            kind = type(value)
-            if kind is str:
-                out.append(head + _string(key) + ": " + _string(value))
-            elif kind is dict or kind is list or kind is tuple:
-                out.append(head + _string(key) + ": ")
-                _write(value, out, inner)
-            else:
-                out.append(head + _string(key) + ": " + _scalar(value))
-            head = ",\n" + inner
-        out.append("\n" + indent + "}")
-    else:
-        if not node:
-            out.append("[]")
-            return
-        head = "[\n" + inner
-        for value in node:
-            kind = type(value)
-            if kind is str:
-                out.append(head + _string(value))
-            elif kind is dict or kind is list or kind is tuple:
-                out.append(head)
-                _write(value, out, inner)
-            else:
-                out.append(head + _scalar(value))
-            head = ",\n" + inner
-        out.append("\n" + indent + "]")
+            head += _string(key) + ": "
+        kind = type(value)
+        if kind is str:
+            out.append(head + _string(value))
+        elif kind is dict or kind is list or kind is tuple:
+            out.append(head)
+            _write(value, out, inner)
+        else:
+            out.append(head + _scalar(value))
+        head = separator
+    out.append("\n" + indent + ("}" if is_dict else "]"))
 
 
 def render_json(doc: Any) -> str:

@@ -28,6 +28,7 @@ from causabound import (
     scenario_from_dict,
     validate_scenario,
 )
+from causabound import audit as audit_module
 from causabound import checks, equivalence_sweep
 from causabound import demo as demo_module
 from causabound.checks import TOLERANCE
@@ -577,6 +578,23 @@ class TestIllConditionedCells:
         for interval in compute_intervals(scenario, AnalysisMode.FULL, (Method.CLOSED_FORM, Method.ORACLE)):
             assert [f"{value:.12g}" for value in (interval.lower, interval.upper)] == want
             assert interval.notes[-1].endswith("endpoints computed exactly"), interval.notes
+
+    def test_a_triggered_cell_builds_one_fraction_image(self, monkeypatch):
+        # both methods divide by the same r1, so the trigger fires for the cell, not for each method
+        reduced_types = []
+        reduce_scenario = audit_module.reduce_scenario
+
+        def counting(scenario, mode):
+            reduced_types.append(type(scenario.response[0][0]).__name__)
+            return reduce_scenario(scenario, mode)
+
+        monkeypatch.setattr(audit_module, "reduce_scenario", counting)
+        scenario = scenario_from_dict(FULL_MODE_UNDERFLOW)
+        intervals = compute_intervals(scenario, AnalysisMode.FULL, (Method.CLOSED_FORM, Method.ORACLE))
+        assert all(iv.notes[-1].endswith("endpoints computed exactly") for iv in intervals), intervals
+        assert reduced_types == ["float", "Fraction"]
+        assert compute_intervals(scenario, AnalysisMode.FULL, ()) == ()
+        assert run_audit(scenario, ()).entries == ()
 
 
 class TestEdgeRegionFuzz:

@@ -171,6 +171,7 @@ class TestGridScan:
             cert = oracle_bounds(reduced)
             grid = grid_scan_bounds(reduced, 2)
             assert (grid.lower, grid.upper) == (cert.interval.lower, cert.interval.upper)
+            assert grid.notes == ("uniform grid scan, 2 points per joint parameter",)
 
     def test_mediation_at_resolution_101(self, mediation_scenario):
         cert = oracle_bounds(mediation_scenario)

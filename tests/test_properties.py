@@ -35,6 +35,7 @@ from causabound import (
     validate_scenario,
 )
 from causabound.bounds import finish_interval
+from causabound.observables import observe
 from causabound.scenario import ordered_sum
 from conftest import COLLAPSE_ROUNDING, FULL_MODE_UNDERFLOW, edge_scenario_docs, fraction_image
 
@@ -160,6 +161,39 @@ def test_every_computed_interval_is_within_tolerance_of_exact(doc):
         for interval in intervals:
             assert abs(Fraction(interval.lower) - exact.lower) <= 1e-9, (mode, interval, exact)
             assert abs(Fraction(interval.upper) - exact.upper) <= 1e-9, (mode, interval, exact)
+
+
+def _closed_form_denominator(scenario, reduced):
+    """The P(R=1|E=1) the closed form divides by, once `pc_bounds` has accepted it."""
+    observed = observe(scenario, reduced)
+    pc_bounds(observed)
+    return observed.p_r1_given_e1
+
+
+def _repr_or_error(call):
+    try:
+        return "value", repr(call())
+    except CausaboundError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(edge_scenario_docs())
+@example(COLLAPSE_ROUNDING)
+@example(FULL_MODE_UNDERFLOW)
+def test_both_methods_divide_by_the_same_float(doc):
+    # `compute_intervals` tests its exact-path trigger once per cell on this one r1
+    scenario = scenario_from_dict(doc)
+    assume(validate_scenario(scenario) == ())
+    for s in (scenario, fraction_image(scenario)):
+        for mode in applicable_modes(s.structure):
+            try:
+                reduced = reduce_scenario(s, mode)
+            except CausaboundError:
+                continue
+            closed = _repr_or_error(lambda: _closed_form_denominator(s, reduced))
+            oracle = _repr_or_error(lambda: oracle_bounds(reduced).denominator)
+            assert closed == oracle, (mode, s)
 
 
 @settings(max_examples=60)
