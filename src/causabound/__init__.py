@@ -12,7 +12,6 @@ from .audit import (
     AuditEntry,
     AuditReport,
     Relation,
-    applicable_modes,
     classify_relation,
     compute_intervals,
     run_audit,
@@ -30,7 +29,7 @@ from .errors import (
     UndefinedConditionalError,
     UndefinedPcError,
 )
-from .observables import ObservableSet, chain_response, derive_observables, reduce_scenario
+from .observables import ObservableSet, applicable_modes, chain_response, derive_observables, reduce_scenario
 from .oracle import FrechetBox, OracleCertificate, frechet_box, grid_scan_bounds, oracle_bounds
 from .randomgen import random_scenario
 from .report import (

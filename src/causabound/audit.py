@@ -14,7 +14,6 @@ truth.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import json
 from itertools import combinations_with_replacement
@@ -22,7 +21,7 @@ from typing import Any, NamedTuple
 
 from .bounds import Method, PcInterval, pc_bounds
 from .errors import UndefinedConditionalError
-from .observables import observe, reduce_scenario
+from .observables import applicable_modes, observe, reduce_scenario
 from .oracle import oracle_bounds
 from .scenario import PROBABILITY_TOLERANCE, AnalysisMode, Scenario, Structure, scenario_to_dict
 
@@ -45,20 +44,6 @@ def classify_relation(a: PcInterval, b: PcInterval) -> Relation:
     if a_in_b or b_in_a:
         return Relation.NESTED
     return Relation.OVERLAPPING
-
-
-@functools.cache
-def applicable_modes(structure: Structure) -> tuple[AnalysisMode, ...]:
-    """Every mode `reduce_scenario` accepts for the structure, in enum order, so full information first.
-
-    A mode may drop M or S only where the structure has it.
-    """
-    return tuple(
-        mode
-        for mode in AnalysisMode
-        if (structure.has_mediator or not mode.drops_mediator)
-        and (structure.has_covariate or not mode.drops_covariate)
-    )
 
 
 class AuditEntry(NamedTuple):

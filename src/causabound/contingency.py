@@ -17,19 +17,27 @@ from __future__ import annotations
 
 import csv
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .errors import EmptyConditioningCellError, ScenarioFormatError
-from .scenario import Scenario, Structure, decimal_int
-
-VARIABLE_ORDER = ("E", "M", "R", "S")
+from .scenario import VARIABLE_ORDER, Scenario, Structure, condition_key, decimal_int
 
 
 class _TableFields(NamedTuple):
     variables: tuple[str, ...]
     levels: tuple[int, ...]
     cells: tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _in_product_order(levels: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every assignment below `levels` in `itertools.product` order; unlike it, never holds a level's values."""
+    if not levels:
+        yield ()
+    elif levels[-1] > 0:  # an empty level empties the product at once, however large the others
+        for head in _in_product_order(levels[:-1]):
+            for last in range(levels[-1]):
+                yield (*head, last)
 
 
 class ContingencyTable(_TableFields):
@@ -52,8 +60,16 @@ class ContingencyTable(_TableFields):
             raise ScenarioFormatError(f"variables {self.variables} not in canonical order")
         if not {"E", "R"} <= set(self.variables):
             raise ScenarioFormatError("counts must include both E and R")
-        expected = tuple(itertools.product(*(range(k) for k in self.levels)))
-        if tuple(a for a, _ in self.cells) != expected:
+        assignments = [a for a, _ in self.cells]
+        unmatched = set(assignments)
+        # each step removes a cell or stops, so the walk is no longer than the cells
+        for expected in _in_product_order(self.levels):
+            if expected not in unmatched:
+                raise ScenarioFormatError(f"missing count for assignment {dict(zip(self.variables, expected))}")
+            unmatched.remove(expected)
+        if unmatched:
+            raise ScenarioFormatError(f"assignments out of range: {sorted(unmatched)}")
+        if assignments != sorted(set(assignments)):
             raise ScenarioFormatError("cells must cover every assignment exactly once, sorted")
         for assignment, count in self.cells:
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
@@ -69,24 +85,12 @@ class ContingencyTable(_TableFields):
             raise ScenarioFormatError(f"variables must be a subset of {VARIABLE_ORDER} without repeats")
         perm = [variables.index(v) for v in order]
         reordered = {tuple(a[i] for i in perm): c for a, c in counts.items()}
-        levels = []
-        for i, var in enumerate(order):
-            values = {a[i] for a in reordered}
-            k = max(values) + 1 if values else 0
-            if var != "S":
-                k = 2
-            elif k < 2:
+        levels = [2] * len(order)
+        if "S" in order:  # last in VARIABLE_ORDER, and the only variable whose levels are read off the data
+            levels[-1] = max((a[-1] for a in reordered), default=-1) + 1
+            if levels[-1] < 2:
                 raise ScenarioFormatError("covariate S needs at least 2 observed levels")
-            levels.append(k)
-        full = []
-        for assignment in itertools.product(*(range(k) for k in levels)):
-            if assignment not in reordered:
-                raise ScenarioFormatError(f"missing count for assignment {dict(zip(order, assignment))}")
-            full.append((assignment, reordered[assignment]))
-        if len(reordered) != len(full):
-            extra = set(reordered) - {a for a, _ in full}
-            raise ScenarioFormatError(f"assignments out of range: {sorted(extra)}")
-        return cls(order, tuple(levels), tuple(full))
+        return cls(order, tuple(levels), tuple(sorted(reordered.items())))
 
     @property
     def total(self) -> int:
@@ -163,7 +167,7 @@ def _conditional(count_where: Callable[..., int], var: str, condition: dict[str,
     """MLE of P(var=1 | condition) from cell counts; 0/0 is an error."""
     denominator = count_where(**condition)
     if denominator == 0:
-        cell = ",".join(f"{v}={condition[v]}" for v in sorted(condition))
+        cell = condition_key(sorted(condition.items()))
         raise EmptyConditioningCellError(f"no observations with {cell}; P({var}=1|{cell}) is 0/0")
     return count_where(**{var: 1, **condition}) / denominator
 

@@ -36,6 +36,7 @@ entry that rounding left just outside [0, 1].  The literals are ints, so a
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -170,21 +171,31 @@ def _collapse_mediator(scenario: Scenario) -> Scenario:
     return Scenario(structure, tuple(zip(*rows)), None, scenario.exposure, scenario.covariate_prior)
 
 
+@functools.cache
+def applicable_modes(structure: Structure) -> tuple[AnalysisMode, ...]:
+    """The modes `reduce_scenario` accepts, full first: those dropping M or S only where the structure has it."""
+    return tuple(
+        mode
+        for mode in AnalysisMode
+        if (structure.has_mediator or not mode.drops_mediator)
+        and (structure.has_covariate or not mode.drops_covariate)
+    )
+
+
 def reduce_scenario(scenario: Scenario, mode: AnalysisMode) -> Scenario:
     """The scenario as seen by an analyst ignoring what `mode` ignores.
 
-    Only reductions the structure supports are allowed: a mode may drop M
-    or S only where they exist.  A mode drops M, then S, so ignoring both
-    is ignoring the mediator and then the covariate.  Every table a
-    collapse builds is stored by Scenario.  Where the Bayes weights of the
-    covariate collapse lose so much to rounding that a conditional they mix
-    lands beyond the tolerance outside [0, 1], the collapse is undefined.
+    Only the structure's `applicable_modes` are allowed.  A mode drops M,
+    then S, so ignoring both is ignoring the mediator and then the
+    covariate.  Every table a collapse builds is stored by Scenario.  Where
+    the Bayes weights of the covariate collapse lose so much to rounding
+    that a conditional they mix lands beyond the tolerance outside [0, 1],
+    the collapse is undefined.
     """
     st = scenario.structure
-    if mode.drops_mediator and not st.has_mediator:
-        raise InapplicableModeError(f"mode {mode.value} drops M, but structure {st.value} has no mediator")
-    if mode.drops_covariate and not st.has_covariate:
-        raise InapplicableModeError(f"mode {mode.value} drops S, but structure {st.value} has no covariate")
+    if mode not in applicable_modes(st):
+        var, name = ("M", "mediator") if mode.drops_mediator and not st.has_mediator else ("S", "covariate")
+        raise InapplicableModeError(f"mode {mode.value} drops {var}, but structure {st.value} has no {name}")
     if mode.drops_mediator:
         scenario = _collapse_mediator(scenario)
     if not mode.drops_covariate:

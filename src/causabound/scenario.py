@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
 from collections.abc import Iterable
@@ -45,6 +46,9 @@ Pair = tuple[float, float]
 # an entry this close outside [0, 1] is stored as the nearest end, and a prior
 # sum this close to 1 passes; inputs failing by more are rejected, never renormalized
 PROBABILITY_TOLERANCE = 1e-9
+
+# the canonical order of the variables: a structure's `variables`, a counts table's columns
+VARIABLE_ORDER = ("E", "M", "R", "S")
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -66,20 +70,12 @@ class Structure(str, enum.Enum):
     def __init__(self, value: str) -> None:
         self.has_mediator = value in ("mediator", "mediator_covariate")
         self.has_covariate = value in ("covariate", "mediator_covariate")
+        observed = {"M": self.has_mediator, "S": self.has_covariate}
+        self.variables = tuple(v for v in VARIABLE_ORDER if observed.get(v, True))
         # per pair table: its field, the variable it gives P(.=1) of, and the one it conditions on besides S
         self.tables = (
             (("mediator", "M", "E"), ("response", "R", "M")) if self.has_mediator else (("response", "R", "E"),)
         )
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        names = ["E"]
-        if self.has_mediator:
-            names.append("M")
-        names.append("R")
-        if self.has_covariate:
-            names.append("S")
-        return tuple(names)
 
 
 class AnalysisMode(str, enum.Enum):
@@ -177,18 +173,26 @@ def _entry_fault(value: Any) -> str | None:
     return None
 
 
-def _in_stratum(name: str, stratum: int | None) -> str:
-    return name if stratum is None else f"{name}[S={stratum}]"
+def condition_key(pairs: Iterable[tuple[str, int]]) -> str:
+    """A condition's one spelling ("E=0,S=1"), from its (variable, value) pairs in the order given.
+
+    The JSON writer's keys, the validator's labels and estimation's empty-cell message all call it.
+    """
+    return ",".join([f"{var}={value}" for var, value in pairs])
 
 
-def _check_pair(violations: list[str], name: str, var: str, value: Any, stratum: int | None) -> None:
+def _entry_label(name: str, condition: tuple[tuple[str, int], ...]) -> str:
+    """An entry as messages name it: `name[key]` with the writer's key, the bare name for no condition."""
+    return f"{name}[{condition_key(condition)}]" if condition else name
+
+
+def _check_pair(violations: list[str], name: str, var: str, value: Any, stratum: tuple[tuple[str, int], ...]) -> None:
     if not isinstance(value, tuple) or len(value) != 2:
-        violations.append(f"{_in_stratum(name, stratum)}: expected a pair indexed by {var}=0,1")
+        violations.append(f"{_entry_label(name, stratum)}: expected a pair indexed by {var}=0,1")
         return
     for v in (0, 1):
         if fault := _entry_fault(value[v]):
-            suffix = "" if stratum is None else f",S={stratum}"
-            violations.append(f"{name}[{var}={v}{suffix}]: {fault}")
+            violations.append(f"{_entry_label(name, ((var, v), *stratum))}: {fault}")
 
 
 def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
@@ -224,9 +228,9 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
     elif scenario.covariate_prior is not None:
         v.append(f"covariate_prior: not defined for structure {st.value}")
 
-    def stratum(s: int) -> int | None:
-        """Stratum s as messages name it: [S=s] only where S exists."""
-        return s if st.has_covariate else None
+    def stratum(s: int) -> tuple[tuple[str, int], ...]:
+        """Stratum s as a condition: (("S", s),) only where S exists."""
+        return (("S", s),) if st.has_covariate else ()
 
     def per_stratum(table: Any) -> bool:
         return isinstance(table, tuple) and (strata is None or len(table) == strata)
@@ -237,7 +241,7 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
         else:
             for s, p in enumerate(scenario.exposure):  # type: ignore[arg-type]
                 if fault := _entry_fault(p):
-                    v.append(f"{_in_stratum('exposure', stratum(s))}: {fault}")
+                    v.append(f"{_entry_label('exposure', stratum(s))}: {fault}")
 
     def check_table(name: str, table: Any, var: str) -> None:
         if not per_stratum(table):
@@ -302,21 +306,16 @@ def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[i
 
 @functools.lru_cache(maxsize=32)
 def _canonical_conditions(var_levels: tuple[tuple[str, int], ...]) -> dict[str, tuple[int, ...]]:
-    """Every in-range assignment under its canonical key ("E=0,S=1"), in the order the writer lists them.
+    """Every in-range assignment under its `condition_key`, in the order the writer lists them.
 
-    The only spelling: `scenario_to_dict` zips these keys with a table's
-    entries and `_table_from_json` looks keys up here.  Cached by table
-    shape, so the dict is shared and must not be changed; 32 shapes hold
-    every table of the K <= 8 scenarios a sweep draws.
+    `scenario_to_dict` zips these keys with a table's entries and
+    `_table_from_json` looks keys up here.  Cached by table shape, so the
+    dict is shared and must not be changed; 32 shapes hold every table of
+    the K <= 8 scenarios a sweep draws.
     """
-    spellings: list[tuple[str, tuple[int, ...]]] = [("", ())]
-    for var, levels in var_levels:
-        spellings = [
-            (f"{key},{var}={x}" if key else f"{var}={x}", (*assignment, x))
-            for key, assignment in spellings
-            for x in range(levels)
-        ]
-    return dict(spellings)
+    names = [var for var, _ in var_levels]
+    assignments = itertools.product(*(range(levels) for _, levels in var_levels))
+    return {condition_key(zip(names, assignment)): assignment for assignment in assignments}
 
 
 def _table_from_json(obj: Any, label: str, var_levels: dict[str, int]) -> dict[tuple[int, ...], float]:

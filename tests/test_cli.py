@@ -714,6 +714,19 @@ class TestEstimate:
         assert "E=1,S=1" in err
 
 
+class TestCountsLevelPastAnySize:
+    # four S=0 cells, then one row whose S level no range could hold: stratum S=1 has no count
+    CSV = "E,R,S,count\n0,0,0,5\n0,1,0,5\n1,0,0,5\n1,1,0,5\n0,0,999999999999999999999999999999,1\n"
+
+    @pytest.mark.parametrize("argv", [["estimate"], ["bound", "--method", "both"], ["audit"]], ids=lambda a: a[0])
+    def test_is_a_missing_count(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge_level.csv"
+        path.write_text(self.CSV)
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "causabound: missing count for assignment {'E': 0, 'R': 0, 'S': 1}\n"
+
+
 class TestOracleCheck:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--seed", "3", "--trials", "5")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -53,6 +54,23 @@ class TestTable:
         with pytest.raises(ScenarioFormatError) as caught:
             ContingencyTable.from_cells(("E", "R"), counts)
         assert str(caught.value) == "assignments out of range: [(2, 0), (2, 1)]"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda cells: cells[1:], "missing count for assignment {'E': 0, 'R': 0}"),
+            (lambda cells: cells + (((2, 0), 1),), "assignments out of range: [(2, 0)]"),
+            (lambda cells: cells + cells[-1:], "cells must cover every assignment exactly once, sorted"),
+        ],
+        ids=["missing", "out-of-range", "duplicate"],
+    )
+    def test_constructor_names_what_the_cells_miss(self, trial_counts, change, message):
+        with pytest.raises(ScenarioFormatError) as caught:
+            ContingencyTable(trial_counts.variables, trial_counts.levels, change(trial_counts.cells))
+        assert str(caught.value) == message
+        with pytest.raises(ScenarioFormatError) as caught:
+            trial_counts._replace(cells=change(trial_counts.cells))
+        assert str(caught.value) == message
 
     def test_missing_assignment_rejected(self):
         with pytest.raises(ScenarioFormatError, match="missing count"):
@@ -117,6 +135,30 @@ class TestTable:
         path.write_text("E,R,count\n0,0,-5\n0,1,12\n1,0,70\n1,1,30\n", encoding="utf-8")
         with pytest.raises(ScenarioFormatError, match="line 2: negative count"):
             read_counts_csv(path)
+
+
+class TestLargeLevels:
+    """A level with no rows is a missing count, found without enumerating the levels."""
+
+    CELLS = tuple(((e, r, 0), 5) for e in (0, 1) for r in (0, 1))
+    MISSING = "missing count for assignment {'E': 0, 'R': 0, 'S': 1}"
+
+    def test_level_past_any_container_size(self):
+        with pytest.raises(ScenarioFormatError) as caught:
+            ContingencyTable(("E", "R", "S"), (2, 2, 10**30), self.CELLS)
+        assert str(caught.value) == self.MISSING
+
+    def test_coverage_check_allocates_by_the_cells_not_the_levels(self):
+        counts = {**dict(self.CELLS), (0, 0, 3_000_000): 1}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioFormatError) as caught:
+                ContingencyTable.from_cells(("E", "R", "S"), counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == self.MISSING
+        assert peak < 5 * 2**20
 
 
 class TestStructureForVariables:

@@ -1,5 +1,6 @@
 """Derivation of bound inputs: chain marginals, collapses, reductions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from causabound import (
     Scenario,
     Structure,
     UndefinedConditionalError,
+    applicable_modes,
     chain_response,
     derive_observables,
     pc_bounds,
+    random_scenario,
     reduce_scenario,
 )
 
@@ -204,6 +207,30 @@ class TestModeApplicability:
     def test_covariate_rejects_mediator_drops(self, crossover_scenario):
         with pytest.raises(InapplicableModeError):
             derive_observables(crossover_scenario, AnalysisMode.IGNORE_MEDIATOR)
+
+    # every refusal, word for word; a mode dropping both is refused for M first
+    REFUSALS = {
+        ("basic", "ignore-mediator"): "mode ignore-mediator drops M, but structure basic has no mediator",
+        ("basic", "ignore-covariate"): "mode ignore-covariate drops S, but structure basic has no covariate",
+        ("basic", "ignore-both"): "mode ignore-both drops M, but structure basic has no mediator",
+        ("mediator", "ignore-covariate"): "mode ignore-covariate drops S, but structure mediator has no covariate",
+        ("mediator", "ignore-both"): "mode ignore-both drops S, but structure mediator has no covariate",
+        ("covariate", "ignore-mediator"): "mode ignore-mediator drops M, but structure covariate has no mediator",
+        ("covariate", "ignore-both"): "mode ignore-both drops M, but structure covariate has no mediator",
+    }
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("structure", list(Structure), ids=lambda s: s.value)
+    def test_reduce_refuses_exactly_what_applicable_modes_omits(self, structure, mode):
+        scenario = random_scenario(random.Random(structure.value), structure)
+        refusal = self.REFUSALS.get((structure.value, mode.value))
+        assert (mode in applicable_modes(structure)) is (refusal is None)
+        if refusal is None:
+            assert reduce_scenario(scenario, mode).structure in Structure
+        else:
+            with pytest.raises(InapplicableModeError) as caught:
+                reduce_scenario(scenario, mode)
+            assert str(caught.value) == refusal
 
 
 class TestUndefinedConditionals:

@@ -1,6 +1,7 @@
 """Scenario construction, validation, and JSON round trips."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from causabound import (
     validate_scenario,
 )
 from causabound.cli import main
+from causabound.scenario import _parse_condition
 from conftest import DATA
 
 
@@ -385,6 +387,55 @@ def _spaced(key):
 
 def _zero_padded(key):
     return ",".join(part.replace("=", "=00") for part in key.split(","))
+
+
+def _distinct_entries(structure, strata):
+    """A valid scenario whose table entries all differ, so a key that names the wrong entry shows."""
+    entries = iter(i / 64 for i in range(1, 64))
+
+    def pairs():
+        return tuple((next(entries), next(entries)) for _ in range(strata))
+
+    return Scenario(
+        structure,
+        response=pairs(),
+        mediator=pairs() if structure.has_mediator else None,
+        exposure=tuple(next(entries) for _ in range(strata)),
+        covariate_prior=(1 / strata,) * strata if structure.has_covariate else None,
+    )
+
+
+class TestOneKeySpelling:
+    # K = 1 is the only stratum count without S, and S needs K >= 2
+    @pytest.mark.parametrize(
+        "structure, strata",
+        [(Structure.BASIC, 1), (Structure.MEDIATOR, 1)]
+        + [(st, k) for st in (Structure.COVARIATE, Structure.MEDIATOR_COVARIATE) for k in (2, 3)],
+        ids=lambda x: x.value if isinstance(x, Structure) else f"K={x}",
+    )
+    def test_writer_reader_and_validator_agree_on_every_key(self, structure, strata):
+        scenario = _distinct_entries(structure, strata)
+        doc = scenario_to_dict(scenario)
+        assert validate_scenario(scenario) == ()
+        assert scenario_from_dict(doc) == scenario
+        s = ("S",) if structure.has_covariate else ()
+        # each condition-keyed table with the variables its keys name; without S the exposure is a bare number
+        keyed = [(name, (cond_var, *s)) for name, _, cond_var in structure.tables]
+        keyed += [("exposure", s)] if s else []
+        for name, variables in keyed:
+            for key in doc[name]:
+                changed = copy.deepcopy(doc)
+                changed[name][key] = 1.5
+                parsed = scenario_from_dict(changed)
+                assignment = dict(zip(variables, _parse_condition(key, variables, name)))
+                entry = getattr(parsed, name)[assignment.get("S", 0)]
+                if name != "exposure":
+                    entry = entry[assignment[variables[0]]]
+                assert entry == 1.5, key
+                assert validate_scenario(parsed) == (f"{name}[{key}]: value 1.5 outside [0, 1]",)
+        if not s:
+            parsed = scenario_from_dict({**doc, "exposure": 1.5})
+            assert validate_scenario(parsed) == ("exposure: value 1.5 outside [0, 1]",)
 
 
 class TestConditionSpellings:
