@@ -17,13 +17,13 @@ import enum
 import hashlib
 import json
 from itertools import combinations_with_replacement
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .bounds import Method, PcInterval, pc_bounds
 from .errors import UndefinedConditionalError
 from .observables import applicable_modes, observe, reduce_scenario
 from .oracle import oracle_bounds
-from .scenario import PROBABILITY_TOLERANCE, AnalysisMode, Scenario, Structure, scenario_to_dict
+from .scenario import PROBABILITY_TOLERANCE, AnalysisMode, Scenario, Structure, _map_entries, scenario_to_dict
 
 NESTED_SLACK = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
@@ -112,10 +112,7 @@ def compute_intervals(
         return tuple(interval for interval, _ in results)
     from fractions import Fraction  # imported here only: a module-level import slows every CLI start
 
-    def exact(value: Any) -> Any:
-        return value if value is None else tuple(map(exact, value)) if isinstance(value, tuple) else Fraction(value)
-
-    image = Scenario(scenario.structure, *map(exact, scenario[1:]))
+    image = Scenario(scenario.structure, *(_map_entries(Fraction, table) for table in scenario[1:]))
     image_reduced = reduce_scenario(image, mode)
     note = f"P(R=1|E=1) = {results[0][1]:.12g}: float rounding could exceed {PROBABILITY_TOLERANCE:g}, "
     note += "endpoints computed exactly"

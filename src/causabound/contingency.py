@@ -80,9 +80,15 @@ class ContingencyTable(_TableFields):
 
     @classmethod
     def from_cells(cls, variables: tuple[str, ...], counts: dict[tuple[int, ...], int]) -> ContingencyTable:
+        """The table of `counts`, keyed by assignments in `variables` order; S's levels are read off the keys."""
         order = tuple(v for v in VARIABLE_ORDER if v in variables)
         if set(variables) != set(order) or len(variables) != len(order):
             raise ScenarioFormatError(f"variables must be a subset of {VARIABLE_ORDER} without repeats")
+        for assignment in counts:
+            if not isinstance(assignment, tuple) or len(assignment) != len(order) or not all(
+                isinstance(level, int) and not isinstance(level, bool) for level in assignment
+            ):
+                raise ScenarioFormatError(f"assignment {assignment!r} must be a tuple of {len(order)} integer levels")
         perm = [variables.index(v) for v in order]
         reordered = {tuple(a[i] for i in perm): c for a, c in counts.items()}
         levels = [2] * len(order)
@@ -185,8 +191,7 @@ def estimate_from_counts(table: ContingencyTable) -> Scenario:
     structure = next(s for s in Structure if s.variables == table.variables)
     count = _margin_counter(table)
     total = count()
-    # one condition per stratum; without S the single stratum conditions on nothing
-    strata = [{"S": s} for s in range(table.s_levels)] if structure.has_covariate else [{}]
+    strata = [dict(condition) for condition in structure.strata(table.s_levels)]
 
     prior = tuple(count(**cond) / total for cond in strata) if structure.has_covariate else None
     exposure = tuple(_conditional(count, "E", cond) for cond in strata)

@@ -36,7 +36,7 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Any, NamedTuple
 
 from .errors import ScenarioFormatError
@@ -77,6 +77,10 @@ class Structure(str, enum.Enum):
             (("mediator", "M", "E"), ("response", "R", "M")) if self.has_mediator else (("response", "R", "E"),)
         )
 
+    def strata(self, k: int) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """Each stratum's condition: S=s for s < k where S is observed, else the one empty condition."""
+        return tuple((("S", s),) for s in range(k)) if self.has_covariate else ((),)
+
 
 class AnalysisMode(str, enum.Enum):
     """How much of the structure the analyst chooses to use."""
@@ -106,14 +110,11 @@ def _nearest_probability(value: Any) -> Any:
     return float(value > 0.0) if -PROBABILITY_TOLERANCE <= value <= 1.0 + PROBABILITY_TOLERANCE else value
 
 
-def _stored_table(table: Any) -> Any:
-    """Each entry, or each entry of each pair, as `_nearest_probability` stores it; a non-tuple as given."""
+def _map_entries(f: Callable[[Any], Any], table: Any) -> Any:
+    """`table` with `f` of each entry, or of each entry of each pair; a non-tuple as given."""
     if not isinstance(table, tuple):
         return table
-    return tuple(
-        tuple(map(_nearest_probability, entry)) if isinstance(entry, tuple) else _nearest_probability(entry)
-        for entry in table
-    )
+    return tuple(tuple(map(f, entry)) if isinstance(entry, tuple) else f(entry) for entry in table)
 
 
 class Scenario(_ScenarioFields):
@@ -141,7 +142,7 @@ class Scenario(_ScenarioFields):
 
     def __new__(cls, *args, **kwargs) -> Scenario:
         fields = _ScenarioFields(*args, **kwargs)
-        return super().__new__(cls, fields.structure, *map(_stored_table, fields[1:]))
+        return super().__new__(cls, fields.structure, *(_map_entries(_nearest_probability, t) for t in fields[1:]))
 
     @property
     def n_strata(self) -> int:
@@ -228,10 +229,6 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
     elif scenario.covariate_prior is not None:
         v.append(f"covariate_prior: not defined for structure {st.value}")
 
-    def stratum(s: int) -> tuple[tuple[str, int], ...]:
-        """Stratum s as a condition: (("S", s),) only where S exists."""
-        return (("S", s),) if st.has_covariate else ()
-
     def per_stratum(table: Any) -> bool:
         return isinstance(table, tuple) and (strata is None or len(table) == strata)
 
@@ -239,16 +236,16 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
         if not per_stratum(scenario.exposure):
             v.append("exposure: expected one P(E=1|S=s) entry per stratum")
         else:
-            for s, p in enumerate(scenario.exposure):  # type: ignore[arg-type]
+            for stratum, p in zip(st.strata(len(scenario.exposure)), scenario.exposure):  # type: ignore[arg-type]
                 if fault := _entry_fault(p):
-                    v.append(f"{_entry_label('exposure', stratum(s))}: {fault}")
+                    v.append(f"{_entry_label('exposure', stratum)}: {fault}")
 
     def check_table(name: str, table: Any, var: str) -> None:
         if not per_stratum(table):
             v.append(f"{name}: expected one pair per stratum")
             return
-        for s, pair in enumerate(table):
-            _check_pair(v, name, var, pair, stratum(s))
+        for stratum, pair in zip(st.strata(len(table)), table):
+            _check_pair(v, name, var, pair, stratum)
 
     if not st.has_mediator and scenario.mediator is not None:
         v.append(f"mediator: not defined for structure {st.value}")
@@ -285,10 +282,10 @@ def decimal_int(text: str) -> int:
     return int(text)
 
 
-def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in key.split(",")]
+def _parse_condition(key: str, var_levels: tuple[tuple[str, int], ...], label: str) -> tuple[int, ...]:
+    """The in-range assignment, in `var_levels` order, that a key in any spelling names."""
     seen: dict[str, int] = {}
-    for part in parts:
+    for part in key.split(","):
         var, eq, raw = part.partition("=")
         var = var.strip()
         if not eq or var in seen:
@@ -297,47 +294,46 @@ def _parse_condition(key: str, expected: tuple[str, ...], label: str) -> tuple[i
             seen[var] = decimal_int(raw)
         except ValueError:
             raise ScenarioFormatError(f"{label}: bad condition key {key!r}") from None
-    if tuple(sorted(seen)) != tuple(sorted(expected)):
-        raise ScenarioFormatError(
-            f"{label}: condition {key!r} must name exactly {{{', '.join(sorted(expected))}}}"
-        )
-    return tuple(seen[var] for var in expected)
+    expected = sorted(var for var, _ in var_levels)
+    if sorted(seen) != expected:
+        raise ScenarioFormatError(f"{label}: condition {key!r} must name exactly {{{', '.join(expected)}}}")
+    for var, levels in var_levels:
+        if not 0 <= seen[var] < levels:
+            raise ScenarioFormatError(f"{label}: condition {key!r} has {var} out of range")
+    return tuple(seen[var] for var, _ in var_levels)
 
 
 @functools.lru_cache(maxsize=32)
 def _canonical_conditions(var_levels: tuple[tuple[str, int], ...]) -> dict[str, tuple[int, ...]]:
-    """Every in-range assignment under its `condition_key`, in the order the writer lists them.
+    """Every in-range assignment under its `condition_key`, in `itertools.product` order: a table's order.
 
-    `scenario_to_dict` zips these keys with a table's entries and
-    `_table_from_json` looks keys up here.  Cached by table shape, so the
-    dict is shared and must not be changed; 32 shapes hold every table of
-    the K <= 8 scenarios a sweep draws.
+    A pair table is its E=0 (or M=0) entries for every stratum, then its
+    E=1 entries.  `scenario_to_dict` zips these keys with a table's entries,
+    and `_table_from_json` looks keys up here and returns entries in this
+    order.  Cached by table shape, so the dict is shared and must not be
+    changed; 32 shapes hold every table of the K <= 8 scenarios a sweep draws.
     """
     names = [var for var, _ in var_levels]
     assignments = itertools.product(*(range(levels) for _, levels in var_levels))
     return {condition_key(zip(names, assignment)): assignment for assignment in assignments}
 
 
-def _table_from_json(obj: Any, label: str, var_levels: dict[str, int]) -> dict[tuple[int, ...], float]:
-    """A conditional table keyed by assignment tuples in `var_levels` order.
+def _table_from_json(obj: Any, label: str, var_levels: tuple[tuple[str, int], ...]) -> tuple[float, ...]:
+    """A conditional table's entries in `_canonical_conditions(var_levels)` order.
 
     Canonical keys resolve by lookup; any other spelling (reordered, spaced,
-    leading zeros) goes through `_parse_condition` and the range check, and
-    lands on the same assignment, so a condition given twice is a duplicate
-    whatever its spellings.
+    leading zeros) goes through `_parse_condition` and lands on the same
+    assignment, so a condition given twice is a duplicate whatever its
+    spellings.
     """
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{label}: expected an object of condition keys")
-    names = tuple(var_levels)
-    canonical = _canonical_conditions(tuple(var_levels.items()))
+    canonical = _canonical_conditions(var_levels)
     table: dict[tuple[int, ...], float] = {}
     for key, value in obj.items():
         assignment = canonical.get(key)
         if assignment is None:
-            assignment = _parse_condition(str(key), names, label)
-            for var, val in zip(names, assignment):
-                if not 0 <= val < var_levels[var]:
-                    raise ScenarioFormatError(f"{label}: condition {key!r} has {var} out of range")
+            assignment = _parse_condition(str(key), var_levels, label)
         if assignment in table:
             raise ScenarioFormatError(f"{label}: duplicate condition {key!r}")
         if not _is_probability_like(value):
@@ -345,7 +341,7 @@ def _table_from_json(obj: Any, label: str, var_levels: dict[str, int]) -> dict[t
         table[assignment] = _as_float(value)
     if len(table) != len(canonical):
         raise ScenarioFormatError(f"{label}: expected {len(canonical)} entries, found {len(table)}")
-    return table
+    return tuple(table[assignment] for assignment in canonical.values())
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
@@ -381,20 +377,18 @@ def scenario_from_dict(doc: Any) -> Scenario:
             raise ScenarioFormatError("covariate_prior: entries must be numbers")
         prior = tuple(map(_as_float, raw_prior))
         strata = len(prior)
-    # the S part of each stratum's condition key; S is not a key without a covariate
-    s_levels = {"S": strata} if structure.has_covariate else {}
-    s_keys = tuple((s,) for s in range(strata)) if structure.has_covariate else ((),)
+    # S's part of a table's shape; S is not a key without a covariate
+    s_levels = (("S", strata),) if structure.has_covariate else ()
 
     tables: dict[str, tuple[Pair, ...]] = {}
     for name, _, cond_var in structure.tables:
-        table = _table_from_json(doc.get(name), name, {cond_var: 2, **s_levels})
-        tables[name] = tuple((table[(0, *s)], table[(1, *s)]) for s in s_keys)
+        entries = _table_from_json(doc.get(name), name, ((cond_var, 2), *s_levels))
+        tables[name] = tuple(zip(entries[:strata], entries[strata:]))
 
     raw = doc.get("exposure")
     exposure: tuple[float, ...] | None
     if structure.has_covariate:
-        table = _table_from_json(raw, "exposure", s_levels)
-        exposure = tuple(table[s] for s in s_keys)
+        exposure = _table_from_json(raw, "exposure", s_levels)
     elif raw is None:
         exposure = None
     elif _is_probability_like(raw):

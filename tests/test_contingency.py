@@ -72,6 +72,29 @@ class TestTable:
             trial_counts._replace(cells=change(trial_counts.cells))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "key, shown",
+        [
+            ((0,), "(0,)"),
+            (0, "0"),
+            ("01", "'01'"),
+            ((0, "1"), "(0, '1')"),
+            ((0, True), "(0, True)"),
+        ],
+        ids=["short", "int", "str", "str-level", "bool-level"],
+    )
+    def test_malformed_assignment_rejected(self, key, shown):
+        counts = {(0, 0): 88, (1, 0): 70, (1, 1): 30, key: 12}
+        with pytest.raises(ScenarioFormatError) as caught:
+            ContingencyTable.from_cells(("E", "R"), counts)
+        assert str(caught.value) == f"assignment {shown} must be a tuple of 2 integer levels"
+
+    def test_long_assignment_is_not_cut_into_another_cell(self):
+        # cut to two levels, (0, 0, 0) would be merged into (0, 0), and its count lost or overwritten
+        counts = {(0, 0, 0): 5, (0, 0, 1): 7, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+        with pytest.raises(ScenarioFormatError, match=r"assignment \(0, 0, 0\) must be a tuple of 2 integer levels"):
+            ContingencyTable.from_cells(("E", "R"), counts)
+
     def test_missing_assignment_rejected(self):
         with pytest.raises(ScenarioFormatError, match="missing count"):
             ContingencyTable.from_cells(("E", "R"), {(0, 0): 1, (0, 1): 2, (1, 0): 3})

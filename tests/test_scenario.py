@@ -19,7 +19,7 @@ from causabound import (
     validate_scenario,
 )
 from causabound.cli import main
-from causabound.scenario import _parse_condition
+from causabound.scenario import _parse_condition, condition_key
 from conftest import DATA
 
 
@@ -405,14 +405,17 @@ def _distinct_entries(structure, strata):
     )
 
 
+# K = 1 is the only stratum count without S, and S needs K >= 2
+_EVERY_SHAPE = pytest.mark.parametrize(
+    "structure, strata",
+    [(Structure.BASIC, 1), (Structure.MEDIATOR, 1)]
+    + [(st, k) for st in (Structure.COVARIATE, Structure.MEDIATOR_COVARIATE) for k in (2, 3)],
+    ids=lambda x: x.value if isinstance(x, Structure) else f"K={x}",
+)
+
+
 class TestOneKeySpelling:
-    # K = 1 is the only stratum count without S, and S needs K >= 2
-    @pytest.mark.parametrize(
-        "structure, strata",
-        [(Structure.BASIC, 1), (Structure.MEDIATOR, 1)]
-        + [(st, k) for st in (Structure.COVARIATE, Structure.MEDIATOR_COVARIATE) for k in (2, 3)],
-        ids=lambda x: x.value if isinstance(x, Structure) else f"K={x}",
-    )
+    @_EVERY_SHAPE
     def test_writer_reader_and_validator_agree_on_every_key(self, structure, strata):
         scenario = _distinct_entries(structure, strata)
         doc = scenario_to_dict(scenario)
@@ -427,7 +430,8 @@ class TestOneKeySpelling:
                 changed = copy.deepcopy(doc)
                 changed[name][key] = 1.5
                 parsed = scenario_from_dict(changed)
-                assignment = dict(zip(variables, _parse_condition(key, variables, name)))
+                var_levels = tuple((var, strata if var == "S" else 2) for var in variables)
+                assignment = dict(zip(variables, _parse_condition(key, var_levels, name)))
                 entry = getattr(parsed, name)[assignment.get("S", 0)]
                 if name != "exposure":
                     entry = entry[assignment[variables[0]]]
@@ -436,6 +440,18 @@ class TestOneKeySpelling:
         if not s:
             parsed = scenario_from_dict({**doc, "exposure": 1.5})
             assert validate_scenario(parsed) == ("exposure: value 1.5 outside [0, 1]",)
+
+    @_EVERY_SHAPE
+    def test_stratum_conditions_are_the_s_part_of_every_written_key(self, structure, strata):
+        doc = scenario_to_dict(_distinct_entries(structure, strata))
+        conditions = [condition_key(condition) for condition in structure.strata(strata)]
+        assert len(conditions) == strata
+        for name, _, _ in structure.tables:
+            s_parts = [",".join(part for part in key.split(",") if part.startswith("S=")) for key in doc[name]]
+            # a pair table lists E=0 (or M=0) in every stratum, then E=1
+            assert s_parts == conditions * 2, name
+        if structure.has_covariate:
+            assert list(doc["exposure"]) == conditions
 
 
 class TestConditionSpellings:
@@ -466,6 +482,16 @@ class TestConditionSpellings:
         var = "E" if "E=2" in key else "S"
         with pytest.raises(ScenarioFormatError) as err:
             scenario_from_dict(doc)
+        assert str(err.value) == f"mediator: condition {key!r} has {var} out of range"
+
+    @pytest.mark.parametrize(
+        "key, var", [("S=3,E=0", "S"), ("E=2,S=0", "E"), ("S=5, E=2", "E")], ids=["S", "E", "E-before-S"]
+    )
+    def test_the_parser_itself_refuses_a_level_out_of_range(self, key, var):
+        var_levels = (("E", 2), ("S", 3))
+        assert _parse_condition(" S = 02 ,E=1", var_levels, "mediator") == (1, 2)
+        with pytest.raises(ScenarioFormatError) as err:
+            _parse_condition(key, var_levels, "mediator")
         assert str(err.value) == f"mediator: condition {key!r} has {var} out of range"
 
     @pytest.mark.parametrize(
