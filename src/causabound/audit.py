@@ -66,11 +66,15 @@ class AuditReport(NamedTuple):
     relations: tuple[tuple[Relation | None, ...], ...]
     headline_disagreement: bool
 
-    def entry(self, mode: AnalysisMode, method: Method) -> AuditEntry:
-        for e in self.entries:
-            if e.mode is mode and e.method is method:
-                return e
+    def _index(self, mode: AnalysisMode, method: Method) -> int:
+        # equality, not identity: a member's str value names it too, as `relation` has always allowed
+        for i, e in enumerate(self.entries):
+            if e.mode == mode and e.method == method:
+                return i
         raise KeyError(f"no audit entry for ({mode.value}, {method.value})")
+
+    def entry(self, mode: AnalysisMode, method: Method) -> AuditEntry:
+        return self.entries[self._index(mode, method)]
 
     def relation(
         self,
@@ -80,10 +84,7 @@ class AuditReport(NamedTuple):
         method_b: Method,
     ) -> Relation | None:
         """Relation between two entries; None if either entry failed."""
-        keys = [(e.mode, e.method) for e in self.entries]
-        i = keys.index((mode_a, method_a))
-        j = keys.index((mode_b, method_b))
-        return self.relations[i][j]
+        return self.relations[self._index(mode_a, method_a)][self._index(mode_b, method_b)]
 
 
 def scenario_digest(scenario: Scenario) -> str:

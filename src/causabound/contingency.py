@@ -116,14 +116,15 @@ def read_counts_csv(path: str) -> ContingencyTable:
     """Parse a counts CSV: variable columns then a final `count` column."""
     # utf-8-sig: spreadsheets save "CSV UTF-8" with a byte-order mark
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            rows = list(csv.reader(fh))
+            # each nonblank row with the file line it ends on, which messages name
+            rows = [(reader.line_num, row) for row in reader if any(field.strip() for field in row)]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ScenarioFormatError(f"not a readable counts CSV: {exc}") from None
-    rows = [row for row in rows if row and any(field.strip() for field in row)]
     if not rows:
         raise ScenarioFormatError("counts file is empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if len(header) < 2 or header[-1] != "count":
         raise ScenarioFormatError("header must name the variables and end with 'count'")
     variables = tuple(header[:-1])
@@ -131,7 +132,7 @@ def read_counts_csv(path: str) -> ContingencyTable:
     if unknown:
         raise ScenarioFormatError(f"unknown variables in header: {sorted(unknown)}")
     counts: dict[tuple[int, ...], int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ScenarioFormatError(f"line {lineno}: expected {len(header)} fields")
         try:

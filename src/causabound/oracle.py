@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from itertools import product
+from operator import attrgetter
 from typing import NamedTuple
 
 from .bounds import PcInterval, finish_interval, require_denominator
@@ -133,12 +134,6 @@ def _objective(boxes: StratumBoxes) -> Callable[..., float]:
     return lambda q_m, q_r: (m1 - q_m) * (r1 - q_r) + (m0 - q_m) * (r0 - q_r)
 
 
-def _corners(box: FrechetBox) -> tuple[float, ...]:
-    if box.q_min == box.q_max:
-        return (box.q_min,)
-    return (box.q_min, box.q_max)
-
-
 def _grid(resolution: int) -> Callable[[FrechetBox], list[float]]:
     """`resolution` evenly spaced points per box, both ends exact."""
 
@@ -198,7 +193,7 @@ def oracle_bounds(scenario: Scenario) -> OracleCertificate:
     mediator coordinate outermost) and ties keep the first visitor, so the
     reported certificate is the lexicographically smallest one.
     """
-    return _search(scenario, _corners, "corner enumeration over the potential-outcome boxes")
+    return _search(scenario, attrgetter("q_min", "q_max"), "corner enumeration over the potential-outcome boxes")
 
 
 def grid_scan_bounds(scenario: Scenario, resolution: int) -> PcInterval:

@@ -31,11 +31,9 @@ def random_scenario(rng: random.Random, structure: Structure, max_strata: int = 
     raise RuntimeError(f"no acceptable {structure.value} scenario in {_MAX_ATTEMPTS} draws")
 
 
-def _interior(rng: random.Random) -> float:
-    value = rng.random()
-    if not MIN_MASS <= value <= 1.0 - MIN_MASS:
-        return -1.0
-    return value
+def _inside(x: float) -> bool:
+    """Whether x is inside the band [MIN_MASS, 1 - MIN_MASS] that conditionals and P(E=1) must stay in."""
+    return MIN_MASS <= x <= 1.0 - MIN_MASS
 
 
 def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario | None:
@@ -52,10 +50,10 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
         if min(prior) < MIN_MASS:
             return None
         exposure = tuple(rng.random() for _ in range(strata))
-        if any(not MIN_MASS <= e <= 1.0 - MIN_MASS for e in exposure):
+        if not all(map(_inside, exposure)):
             return None
         p_e1 = ordered_sum(p * e for p, e in zip(prior, exposure))
-        if not MIN_MASS <= p_e1 <= 1.0 - MIN_MASS:
+        if not _inside(p_e1):
             return None
         weights = [p * e / p_e1 for p, e in zip(prior, exposure)]
         if min(weights) < MIN_MASS:
@@ -65,10 +63,10 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
     if structure.has_mediator:
         pairs = []
         for _ in range(strata):
-            m0, m1 = _interior(rng), _interior(rng)
-            if m0 < 0.0 or m1 < 0.0:
+            pair = (rng.random(), rng.random())
+            if not all(map(_inside, pair)):
                 return None
-            pairs.append((m0, m1))
+            pairs.append(pair)
         mediator = tuple(pairs)
 
     response = tuple((rng.random(), rng.random()) for _ in range(strata))

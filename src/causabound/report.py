@@ -43,8 +43,10 @@ def digest_bytes(data: bytes) -> str:
 _TEXT = {None: None, **{member: member.value for kind in (AnalysisMode, Method, Relation) for member in kind}}
 
 
+# a report row's fields, in the order `interval_payload` and `audit_payload` write them
+_ROW_FIELDS = ("mode", "method", "lower", "upper", "lower_display", "upper_display", "notes", "error")
 # the endpoint fields of a row whose mode failed, all null
-_NULL_ENDPOINTS = dict.fromkeys(("lower", "upper", "lower_display", "upper_display"))
+_NULL_ENDPOINTS = dict.fromkeys(_ROW_FIELDS[2:6])
 
 
 def interval_payload(entry: AuditEntry) -> dict[str, Any]:
@@ -175,25 +177,23 @@ def render_json(doc: Any) -> str:
     return "".join(out)
 
 
+def _csv_cell(value: Any) -> str:
+    """A row field as CSV text: empty for null, 12 significant digits for a float, a list's items joined by "; "."""
+    if value is None:
+        return ""
+    if type(value) is float:
+        return f"{value:.{FULL_PRECISION_DIGITS}g}"
+    if type(value) is list:
+        return "; ".join(value)
+    return value
+
+
 def render_csv(doc: dict[str, Any]) -> str:
     """Interval entries as a flat table (the relation matrix stays JSON-only)."""
     rows = doc["audit"]["entries"] if "audit" in doc else doc["intervals"]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["mode", "method", "lower", "upper", "lower_display", "upper_display", "notes", "error"]
-    )
+    writer.writerow(_ROW_FIELDS)
     for row in rows:
-        writer.writerow(
-            [
-                row["mode"],
-                row["method"],
-                "" if row["lower"] is None else f"{row['lower']:.{FULL_PRECISION_DIGITS}g}",
-                "" if row["upper"] is None else f"{row['upper']:.{FULL_PRECISION_DIGITS}g}",
-                row["lower_display"] or "",
-                row["upper_display"] or "",
-                "; ".join(row["notes"]),
-                row.get("error") or "",
-            ]
-        )
+        writer.writerow([_csv_cell(row.get(field)) for field in _ROW_FIELDS])
     return out.getvalue()

@@ -205,6 +205,14 @@ class TestRunAudit:
         )
         assert not report.headline_disagreement
 
+    def test_entry_and_relation_name_a_missing_pair(self, trial_scenario):
+        report = run_audit(trial_scenario, methods=(Method.CLOSED_FORM,))
+        with pytest.raises(KeyError, match=r"no audit entry for \(full, oracle\)"):
+            report.entry(AnalysisMode.FULL, Method.ORACLE)
+        with pytest.raises(KeyError, match=r"no audit entry for \(ignore-mediator, closed\)"):
+            report.relation(AnalysisMode.FULL, Method.CLOSED_FORM, AnalysisMode.IGNORE_MEDIATOR, Method.CLOSED_FORM)
+        assert report.relation("full", "closed", "full", "closed") is Relation.NESTED
+
     def test_zero_exposure_gives_both_methods_one_error(self):
         # P(E=1) = 0: the closed form and the oracle share the stratum weights
         sc = Scenario(

@@ -485,6 +485,23 @@ class TestAudit:
         audit = json.loads(out)["audit"]
         assert {e["method"] for e in audit["entries"]} == {"closed", "oracle"}
 
+    def test_csv_rows_of_an_undefined_collapse_are_empty_but_the_error(self, capsys, tmp_path):
+        # every P(E=1|S=s) = 1, so ignoring S leaves nothing conditionally defined given E=0
+        path = tmp_path / "all_exposed.json"
+        path.write_text(json.dumps({
+            "structure": "covariate",
+            "covariate_prior": [0.5, 0.5],
+            "exposure": {"S=0": 1.0, "S=1": 1.0},
+            "response": {"E=0,S=0": 0.2, "E=0,S=1": 0.8, "E=1,S=0": 0.8, "E=1,S=1": 0.2},
+        }))
+        code, out, err = run(capsys, "audit", str(path), "--output", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            "mode,method,lower,upper,lower_display,upper_display,notes,error",
+            "full,closed,0.6,1,0.60,1.00,P(E=0) = 0: marginal P(R=1|E=0) unavailable,",
+            "ignore-covariate,closed,,,,,,P(E=0) = 0: nothing is conditionally defined given E=0",
+        ]
+
     def test_amplified_overshoot_is_clamped_not_a_crash(self, capsys, tmp_path):
         path = tmp_path / "amplified.json"
         path.write_text(json.dumps(AMPLIFIED_OVERSHOOT))

@@ -159,6 +159,23 @@ class TestTable:
         with pytest.raises(ScenarioFormatError, match="line 2: negative count"):
             read_counts_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("E,R,count\n\n\n0,0,x\n0,1,12\n1,0,70\n1,1,30\n", 4),
+            ("\n \n,\nE,R,count\n0,0,x\n0,1,12\n1,0,70\n1,1,30\n", 5),
+            ("E,R,count\n\n0,0,88\n\n0,1,12\n\n1,0,x\n\n1,1,30\n\n", 7),
+            ("E,R,count\r\n\r\n0,0,88\r\n\r\n0,1,x\r\n", 5),
+        ],
+        ids=["blank-lines-between-rows", "blank-lines-before-header", "double-newline-endings", "crlf-blank-lines"],
+    )
+    def test_csv_messages_name_the_file_line_past_blank_lines(self, tmp_path, text, line):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ScenarioFormatError) as err:
+            read_counts_csv(path)
+        assert str(err.value) == f"line {line}: entries must be integers"
+
 
 class TestLargeLevels:
     """A level with no rows is a missing count, found without enumerating the levels."""

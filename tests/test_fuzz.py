@@ -22,7 +22,8 @@ pytest runs the first 2,000 cases.  Needs only the standard library, so
 runs a larger batch and prints N, the count of each exit code and the sha256
 of every case's exit code, stdout and stderr, in order; it exits 1 and names
 the failing cases when any fails.  Two trees that should behave alike print
-the same line.
+the same line.  The expected line for N = 20000 is kept in
+tests/data/golden/fuzz-20000.txt, and CI diffs the output against it.
 """
 
 import contextlib

@@ -1,6 +1,7 @@
 """Brute-force corner search, certificates, and the secondary grid scan."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,6 +143,23 @@ class TestCertificates:
         assert cert.argmax == ((0.0, 0.0),)
         assert cert.interval.lower == 0.0
         assert cert.interval.upper == 1.0
+
+    @pytest.mark.parametrize(
+        "scenario, corner",
+        [
+            (Scenario(Structure.MEDIATOR, response=((0.0, 1.0),), mediator=((0.0, 1.0),)), ((0.0, 0.0),)),
+            (Scenario(Structure.BASIC, response=((0.0, 1.0),)), ((0.0,),)),
+            # q_min = 0.0 and q_max = -0.0: equal ends, and the search keeps q_min, visited first
+            (Scenario(Structure.BASIC, response=((-0.0, 1.0),)), ((0.0,),)),
+        ],
+        ids=["mediator", "basic", "negative-zero-margin"],
+    )
+    def test_degenerate_boxes_give_their_one_corner(self, scenario, corner):
+        cert = oracle_bounds(scenario)
+        assert cert.argmin == cert.argmax == corner
+        signs = {math.copysign(1.0, q) for assignment in (cert.argmin, cert.argmax) for qs in assignment for q in qs}
+        assert signs == {1.0}
+        assert cert.interval.lower == cert.interval.upper == 1.0
 
     def test_stratum_boxes_expose_weights_and_margins(self, crossover_scenario):
         cert = oracle_bounds(crossover_scenario)
