@@ -14,8 +14,6 @@ truth.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -89,6 +87,9 @@ class AuditReport(NamedTuple):
 
 def scenario_digest(scenario: Scenario) -> str:
     """Stable content digest of the canonical JSON form; reports digest the input bytes instead."""
+    import hashlib  # here, not at the top, as in `report.digest_bytes`
+    import json
+
     canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -16,9 +16,7 @@ import sys
 
 from .audit import AuditEntry, compute_intervals, run_audit
 from .bounds import Method
-from .checks import DEFAULT_SEED, DEFAULT_TRIALS, equivalence_sweep, render_sweep_report
 from .contingency import estimate_from_counts, read_counts_csv
-from .demo import demo_document, run_demo
 from .errors import InapplicableModeError, ScenarioFormatError, UndefinedConditionalError
 from .report import digest_bytes, render_csv, render_json, report_document
 from .scenario import AnalysisMode, Scenario, load_scenario, scenario_to_dict, validate_scenario
@@ -70,8 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_estimate.add_argument("input", help="counts .csv")
 
     p_check = sub.add_parser("oracle-check", help="randomized closed-form vs oracle sweep")
-    p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_check.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="scenarios per structure")
+    # None stands for the sweep's own default, so the parser needs no import of `checks`
+    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--trials", type=int, help="scenarios per structure")
 
     demo_p = sub.add_parser("demo", help="run the bundled reference analyses")
     demo_p.add_argument("--json", action="store_true", help="emit the results as JSON")
@@ -126,14 +125,20 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.trials < 1:
+    # imported by the one command that sweeps: `checks` pulls in `random`
+    from .checks import DEFAULT_SEED, DEFAULT_TRIALS, equivalence_sweep, render_sweep_report
+
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    if trials < 1:
         raise ScenarioFormatError("--trials must be at least 1")
-    report = equivalence_sweep(args.seed, args.trials)
+    report = equivalence_sweep(DEFAULT_SEED if args.seed is None else args.seed, trials)
     sys.stdout.write(render_sweep_report(report))
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from .demo import demo_document, run_demo  # imported by the one command that runs the reference cases
+
     if args.json:
         doc, ok = demo_document()
         sys.stdout.write(render_json(doc))

@@ -7,17 +7,17 @@ which is the MLE of each conditional table under the structure's
 factorization; for mediator structures the R|M table pools over E, as the
 missing E -> R edge dictates.
 
-Estimation makes one pass over the cells, summing every marginal count at
-once, so it costs O(cells): 16 margin updates per cell at most.  Each
-conditional is then the exact ratio of two integer margins, so the
-estimate does not depend on the order the counts were summed in.
+Estimation sums the margins of each set of conditioned variables it asks
+for in one pass over the cells, so it costs O(cells): one margin update
+per cell for each of at most 6 such sets (6 for mediator_covariate, 3 for
+basic).  Each conditional is then the exact ratio of two integer margins,
+so the estimate does not depend on the order the counts were summed in.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
 from collections.abc import Callable, Iterator
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import EmptyConditioningCellError, ScenarioFormatError
@@ -114,6 +114,8 @@ class ContingencyTable(_TableFields):
 
 def read_counts_csv(path: str) -> ContingencyTable:
     """Parse a counts CSV: variable columns then a final `count` column."""
+    import csv  # here, not at the top: only a counts input needs it
+
     # utf-8-sig: spreadsheets save "CSV UTF-8" with a byte-order mark
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -154,18 +156,24 @@ def read_counts_csv(path: str) -> ContingencyTable:
 
 
 def _margin_counter(table: ContingencyTable) -> Callable[..., int]:
-    """`count_where` answered from margins summed in one pass over the cells.
+    """`count_where` answered from margins, summed for each set of conditioned variables when first asked.
 
-    A margin is keyed by an assignment with None for every variable summed
-    out, so each cell adds its count to 2^len(variables) margins.
+    The margins of one set are keyed by the values of its variables, in
+    table order, and take one pass over the cells; the sets no condition
+    names are never summed.
     """
-    margins: dict[tuple[int | None, ...], int] = {}
-    for assignment, count in table.cells:
-        for key in itertools.product(*((value, None) for value in assignment)):
-            margins[key] = margins.get(key, 0) + count
+    variables = table.variables
+    by_set: dict[tuple[bool, ...], dict[tuple[int, ...], int]] = {}
 
     def count_where(**condition: int) -> int:
-        return margins[tuple(condition.get(v) for v in table.variables)]
+        kept = tuple(v in condition for v in variables)
+        margins = by_set.get(kept)
+        if margins is None:
+            margins = by_set[kept] = {}
+            for assignment, count in table.cells:
+                key = tuple(compress(assignment, kept))
+                margins[key] = margins.get(key, 0) + count
+        return margins[tuple(condition[v] for v in variables if v in condition)]
 
     return count_where
 
@@ -184,10 +192,10 @@ def estimate_from_counts(table: ContingencyTable) -> Scenario:
 
     The structure is the one whose `variables` are the table's: M and S
     are present in the scenario exactly when the table has them.  Every
-    conditional is the ratio of two integer margins, all summed in one pass
-    over the cells; the exposure table (the marginal P(E=1) when S is
-    absent) and the covariate prior come along for free, so the result
-    fully determines a joint law.
+    conditional is the ratio of two integer margins, each set of margins
+    summed in one pass over the cells; the exposure table (the marginal
+    P(E=1) when S is absent) and the covariate prior come along for free,
+    so the result fully determines a joint law.
     """
     structure = next(s for s in Structure if s.variables == table.variables)
     count = _margin_counter(table)

@@ -10,9 +10,7 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
+from json.encoder import JSONEncoder
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
@@ -36,6 +34,8 @@ def display(value: float) -> str:
 
 
 def digest_bytes(data: bytes) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which `estimate` and `demo` never need
+
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -124,11 +124,26 @@ def _scalar(value: Any) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+# a container of this many members or more, all flat, is written by json's C encoder in one call;
+# on shorter ones, as a report's rows are, checking the member types costs more than the encoder saves
+_LONG = 64
+_FLAT = frozenset({str, int, float, bool, type(None)})
+
+
+def _is_flat(node: dict | list | tuple, is_dict: bool) -> bool:
+    """Whether every key of `node` is exactly str and every value exactly a `_FLAT` type."""
+    if is_dict:
+        return set(map(type, node)) == {str} and set(map(type, node.values())) <= _FLAT
+    return set(map(type, node)) <= _FLAT
+
+
 def _write(node: dict | list | tuple, out: list[str], indent: str) -> None:
     """Append the text of one container, opened where `out` ends and closed at `indent`.
 
     Dict members and list items share one value dispatch; a member only
-    adds its key, checked str, to the head it is written after.
+    adds its key, checked str, to the head it is written after.  A long
+    flat container (a scenario echo's table at large K) goes to json's C
+    encoder, whose separators put each member on its own line.
     """
     is_dict = type(node) is dict
     if not node:
@@ -136,6 +151,10 @@ def _write(node: dict | list | tuple, out: list[str], indent: str) -> None:
         return
     inner = indent + "  "
     separator = ",\n" + inner
+    if len(node) >= _LONG and _is_flat(node, is_dict):
+        text = JSONEncoder(check_circular=False, separators=(separator, ": ")).encode(node)
+        out.append(text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1])
+        return
     head = ("{\n" if is_dict else "[\n") + inner
     for value in node.items() if is_dict else node:
         if is_dict:
@@ -164,7 +183,8 @@ def render_json(doc: Any) -> str:
     int, float, bool and None: strings go through json's own ASCII escaper,
     floats through `float.__repr__` with json's NaN, Infinity and -Infinity.
     It is written in one pass into one list, where json's indented encoder
-    is pure Python.  Any other key or value type, a subclass included,
+    is pure Python; json's C encoder, unindented, writes each container of
+    64 or more flat members, with separators that indent it.  Any other key or value type, a subclass included,
     raises TypeError.  `doc` must be a tree (as `report_document` and
     `demo_document` build), not a cyclic graph.
     """
@@ -190,6 +210,9 @@ def _csv_cell(value: Any) -> str:
 
 def render_csv(doc: dict[str, Any]) -> str:
     """Interval entries as a flat table (the relation matrix stays JSON-only)."""
+    import csv  # here, not at the top: only `--output csv` writes a table
+    import io
+
     rows = doc["audit"]["entries"] if "audit" in doc else doc["intervals"]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

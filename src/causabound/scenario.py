@@ -275,6 +275,8 @@ def decimal_int(text: str) -> int:
     would take ("+0", "1_000", non-ASCII digits) raises ValueError, and so
     does a minus zero, which is no spelling of a level or count.
     """
+    if text.isascii() and text.isdigit():  # the common spelling, which `int` reads as it stands
+        return int(text)
     text = text.strip()
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()) or (text.startswith("-") and not digits.strip("0")):
@@ -312,10 +314,12 @@ def _canonical_conditions(var_levels: tuple[tuple[str, int], ...]) -> dict[str, 
     and `_table_from_json` looks keys up here and returns entries in this
     order.  Cached by table shape, so the dict is shared and must not be
     changed; 32 shapes hold every table of the K <= 8 scenarios a sweep draws.
+    A key is its variables' one-variable keys joined, so each of those is
+    spelled once, not once per assignment.
     """
-    names = [var for var, _ in var_levels]
-    assignments = itertools.product(*(range(levels) for _, levels in var_levels))
-    return {condition_key(zip(names, assignment)): assignment for assignment in assignments}
+    parts = [[condition_key(((var, value),)) for value in range(levels)] for var, levels in var_levels]
+    keys = map(",".join, itertools.product(*parts))
+    return dict(zip(keys, itertools.product(*(range(levels) for _, levels in var_levels))))
 
 
 def _table_from_json(obj: Any, label: str, var_levels: tuple[tuple[str, int], ...]) -> tuple[float, ...]:
@@ -324,11 +328,14 @@ def _table_from_json(obj: Any, label: str, var_levels: tuple[tuple[str, int], ..
     Canonical keys resolve by lookup; any other spelling (reordered, spaced,
     leading zeros) goes through `_parse_condition` and lands on the same
     assignment, so a condition given twice is a duplicate whatever its
-    spellings.
+    spellings.  A table of the wrong length is refused without the lookup
+    dict of its shape, which may be far larger than the table: every key
+    is parsed, so a bad key or value is still reported before the count.
     """
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{label}: expected an object of condition keys")
-    canonical = _canonical_conditions(var_levels)
+    expected = math.prod(levels for _, levels in var_levels)
+    canonical = _canonical_conditions(var_levels) if len(obj) == expected else {}
     table: dict[tuple[int, ...], float] = {}
     for key, value in obj.items():
         assignment = canonical.get(key)
@@ -336,11 +343,13 @@ def _table_from_json(obj: Any, label: str, var_levels: tuple[tuple[str, int], ..
             assignment = _parse_condition(str(key), var_levels, label)
         if assignment in table:
             raise ScenarioFormatError(f"{label}: duplicate condition {key!r}")
-        if not _is_probability_like(value):
-            raise ScenarioFormatError(f"{label}: value for {key!r} is not a number")
-        table[assignment] = _as_float(value)
-    if len(table) != len(canonical):
-        raise ScenarioFormatError(f"{label}: expected {len(canonical)} entries, found {len(table)}")
+        if type(value) is not float:  # a float, as `json` reads most entries, is stored as it is
+            if not _is_probability_like(value):
+                raise ScenarioFormatError(f"{label}: value for {key!r} is not a number")
+            value = _as_float(value)
+        table[assignment] = value
+    if len(table) != expected:
+        raise ScenarioFormatError(f"{label}: expected {expected} entries, found {len(table)}")
     return tuple(table[assignment] for assignment in canonical.values())
 
 
@@ -418,11 +427,13 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 def _unique_names(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """A JSON object's members as a dict; a name given twice is a format error, not last-wins."""
-    obj: dict[str, Any] = {}
-    for name, value in pairs:
-        if name in obj:
-            raise ScenarioFormatError(f"name {name!r} repeated in one object")
-        obj[name] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # some name repeats: find the first one given twice
+        seen: set[str] = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise ScenarioFormatError(f"name {name!r} repeated in one object")
+            seen.add(name)
     return obj
 
 

@@ -245,6 +245,43 @@ class TestEstimation:
         )
         assert estimate_from_counts(doubled) == estimate_from_counts(trial_counts)
 
+    # the sets of conditioned variables estimation asks for: (), E, E+R for basic, and S and their S-refinements
+    # (E+S, M+S, E+M+S, M+R+S for mediator_covariate) where S is present
+    @pytest.mark.parametrize(
+        "structure, sets",
+        [(Structure.BASIC, 3), (Structure.MEDIATOR, 5), (Structure.COVARIATE, 4), (Structure.MEDIATOR_COVARIATE, 6)],
+        ids=lambda x: x.value if isinstance(x, Structure) else None,
+    )
+    def test_each_margin_set_asked_for_is_summed_in_one_pass(self, structure, sets):
+        rng = random.Random(structure.value)
+        levels = [3 if v == "S" else 2 for v in structure.variables]
+        table = ContingencyTable.from_cells(
+            structure.variables, {a: rng.randint(1, 9) for a in itertools.product(*map(range, levels))}
+        )
+        passes = 0
+
+        class CountedCells(tuple):
+            def __iter__(self):
+                nonlocal passes
+                passes += 1
+                return super().__iter__()
+
+        counted = table._replace(cells=CountedCells(table.cells))
+        passes = 0
+        estimate = estimate_from_counts(counted)
+        assert passes == sets
+        # each conditional against `count_where`, which scans the cells afresh
+        for s, stratum in enumerate(structure.strata(table.s_levels)):
+            condition = dict(stratum)
+            if structure.has_covariate:
+                assert estimate.covariate_prior[s] == table.count_where(**condition) / table.total
+            assert estimate.exposure[s] == table.count_where(E=1, **condition) / table.count_where(**condition)
+            for name, var, cond_var in structure.tables:
+                for v in (0, 1):
+                    given = {cond_var: v, **condition}
+                    expected = table.count_where(**{var: 1}, **given) / table.count_where(**given)
+                    assert getattr(estimate, name)[s][v] == expected, (name, s, v)
+
     def test_one_sided_exposure_cannot_identify_response(self):
         table = ContingencyTable.from_cells(
             ("E", "R"), {(0, 0): 0, (0, 1): 0, (1, 0): 70, (1, 1): 30}

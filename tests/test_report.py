@@ -1,6 +1,7 @@
 """Deterministic rendering of results to JSON and CSV."""
 
 import gc
+import itertools
 import json
 import random
 
@@ -189,6 +190,20 @@ trees = st.recursive(
 )
 
 
+# every special scalar once, so a long container cycling through it holds each kind of member
+LONG_MEMBERS = (*SPECIAL_STRINGS, *SPECIAL_FLOATS, 2**64 + 1, -(2**64), 0, -7, True, False, None)
+
+
+def _long(n):
+    """A list of `n` members, cycling through `LONG_MEMBERS`."""
+    return [LONG_MEMBERS[i % len(LONG_MEMBERS)] for i in range(n)]
+
+
+def _long_dict(n):
+    """A dict of `n` members cycling through `LONG_MEMBERS`, each key a special string made unique."""
+    return {f"{key}{i}": value for i, key, value in zip(range(n), itertools.cycle(SPECIAL_STRINGS), _long(n))}
+
+
 class TestJsonWriter:
     @settings(max_examples=300, derandomize=True)
     @given(trees)
@@ -200,6 +215,39 @@ class TestJsonWriter:
     @example({"\ud800": [2**64 + 1, -(2**64), -0.0, 5e-324, True, False, None]})
     def test_matches_json_dumps(self, tree):
         assert render_json(tree) == dumps(tree)
+
+    # 64 members and more go through json's C encoder, fewer through the writer's own loop
+    @pytest.mark.parametrize("n", [63, 64, 65, 300])
+    def test_long_flat_containers_match_json_dumps(self, n):
+        for flat in (_long(n), tuple(_long(n)), _long_dict(n)):
+            for tree in (flat, [flat, {"": flat}], {"a": {"b": [flat, []]}, "c": flat, "d": 1}):
+                assert render_json(tree) == dumps(tree)
+
+    @settings(max_examples=50, derandomize=True)
+    @given(
+        st.lists(scalars, min_size=64, max_size=70)
+        | st.lists(scalars, min_size=64, max_size=70).map(tuple)
+        | st.dictionaries(strings, scalars, min_size=64, max_size=70)
+    )
+    def test_drawn_long_flat_containers_match_json_dumps(self, flat):
+        assert render_json(flat) == dumps(flat)
+        assert render_json({"nested": [flat]}) == dumps({"nested": [flat]})
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            [*_long(64), AnalysisMode.FULL],
+            (AnalysisMode.FULL, *_long(64)),
+            {**_long_dict(64), "mode": AnalysisMode.FULL},
+            {**_long_dict(64), 1: "int key"},  # json.dumps would write it as "1"
+            {**_long_dict(64), Structure.BASIC: "str subclass key"},
+            {"nested": [[*_long(100), complex(1, 2)]]},
+        ],
+        ids=["str-subclass-last", "str-subclass-first", "dict-str-subclass", "int-key", "str-subclass-key", "nested"],
+    )
+    def test_long_containers_refuse_other_keys_and_values(self, tree):
+        with pytest.raises(TypeError):
+            render_json(tree)
 
     @pytest.mark.parametrize("structure", list(Structure))
     def test_report_documents_match_json_dumps(self, structure):

@@ -19,7 +19,7 @@ from causabound import (
     validate_scenario,
 )
 from causabound.cli import main
-from causabound.scenario import _parse_condition, condition_key
+from causabound.scenario import _canonical_conditions, _parse_condition, condition_key, load_scenario
 from conftest import DATA
 
 
@@ -599,3 +599,45 @@ class TestFormatErrors:
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             scenario_from_dict({"structure": "fancy", "response": {}})
+
+    def test_wrong_length_table_is_refused_without_the_keys_of_its_shape(self):
+        # 200,000 strata give the response table 400,000 keys, which a 2-entry table must not cost
+        strata = 200_000
+        doc = {
+            "structure": "covariate",
+            "covariate_prior": [1 / strata] * strata,
+            "exposure": {"S=0": 0.5, "S=1": 0.5},
+            "response": {"E=0,S=0": 0.1, "E=1,S=0": 0.3},
+        }
+        misses = _canonical_conditions.cache_info().misses
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == "response: expected 400000 entries, found 2"
+        assert _canonical_conditions.cache_info().misses == misses
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ({"E=0,S=0": 0.1, "E=2,S=0": 0.3}, "response: condition 'E=2,S=0' has E out of range"),
+            ({"E=0,S=0": 0.1, "S=0,E=0": 0.3}, "response: duplicate condition 'S=0,E=0'"),
+            ({"E=0,S=0": 0.1, "E=1,S=0": "0.3"}, "response: value for 'E=1,S=0' is not a number"),
+            ({"E=0,S=0": 0.1, "E=1,S=0": 0.3}, "response: expected 6 entries, found 2"),
+            (
+                {**{f"E={e},S={s}": 0.5 for e in (0, 1) for s in range(3)}, "E=0, S=1": 0.5},
+                "response: duplicate condition 'E=0, S=1'",
+            ),
+        ],
+        ids=["out-of-range", "duplicate", "not-a-number", "short", "long"],
+    )
+    def test_wrong_length_table_reports_an_entry_fault_before_its_length(self, response, message):
+        doc = {"structure": "covariate", "covariate_prior": [0.5, 0.25, 0.25], "exposure": {}, "response": response}
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_first_name_given_twice_is_named(self, tmp_path):
+        path = tmp_path / "repeats.json"
+        path.write_text('{"structure": "basic", "response": {"E=0": 0.1, "E=1": 0.3, "E=1": 0.4, "E=0": 0.2}}')
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(str(path))
+        assert str(err.value) == "not valid JSON: name 'E=1' repeated in one object"

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import causabound
 from causabound import (
     REFERENCE_CASES,
     ContingencyTable,
@@ -35,6 +36,33 @@ def test_cli_import_leaves_fractions_to_the_exact_path():
     code = "import sys, causabound.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# the modules whose functions the benchmark's tracer rebinds once `causabound.cli` is imported;
+# a module the CLI imported later would keep its functions untraced
+TRACED_LAYERS = ("scenario", "contingency", "observables", "bounds", "oracle", "audit", "report")
+
+
+def test_cli_import_loads_the_layers_and_leaves_each_command_its_own_imports():
+    code = "import sys, causabound.cli; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    # hashlib digests bound and audit inputs, csv reads counts and writes --output csv, the rest serve one command
+    assert {"hashlib", "csv", "causabound.checks", "causabound.demo", "causabound.randomgen"} & loaded == set()
+    assert {f"causabound.{name}" for name in TRACED_LAYERS} <= loaded
+
+
+def test_every_public_name_resolves_on_first_access():
+    code = (
+        "import causabound as c; "
+        "assert all(getattr(c, name) is not None for name in c.__all__); "
+        "from causabound import kernels; "
+        "print(kernels.backend_name())"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "python"
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        causabound.not_a_name
 
 
 def _instances(confounded_scenario, trial_counts):
