@@ -87,11 +87,12 @@ class AuditReport(NamedTuple):
 
 def scenario_digest(scenario: Scenario) -> str:
     """Stable content digest of the canonical JSON form; reports digest the input bytes instead."""
-    import hashlib  # here, not at the top, as in `report.digest_bytes`
     import json
 
+    from .report import digest_bytes  # here, not at the top: `report` imports this module
+
     canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return digest_bytes(canonical.encode("utf-8"))
 
 
 def compute_intervals(

@@ -55,7 +55,7 @@ from .scenario import ordered_sum
 
 
 class Method(str, enum.Enum):
-    """How an interval was produced: this closed form, or the oracle's corner search."""
+    """How an interval was produced: this closed form, or the oracle's corner search; declared in report order."""
 
     CLOSED_FORM = "closed"
     ORACLE = "oracle"

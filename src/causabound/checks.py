@@ -59,7 +59,7 @@ def equivalence_sweep(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) ->
         worst_endpoint = ""
         for _ in range(trials):
             scenario = random_scenario(rng, structure)
-            closed, exact = compute_intervals(scenario, AnalysisMode.FULL, (Method.CLOSED_FORM, Method.ORACLE))
+            closed, exact = compute_intervals(scenario, AnalysisMode.FULL, tuple(Method))
             for endpoint, gap in (
                 ("lower", abs(closed.lower - exact.lower)),
                 ("upper", abs(closed.upper - exact.upper)),

@@ -30,7 +30,7 @@ EXIT_UNDEFINED = 3
 _METHODS = {
     "closed": (Method.CLOSED_FORM,),
     "oracle": (Method.ORACLE,),
-    "both": (Method.CLOSED_FORM, Method.ORACLE),
+    "both": tuple(Method),
 }
 
 
@@ -49,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=tuple(_METHODS), default="closed", help=text)
 
     p_bound = sub.add_parser("bound", help="compute a PC interval")
+    p_bound.set_defaults(run=_cmd_bound)
     p_bound.add_argument("input", help="scenario .json or counts .csv")
     p_bound.add_argument(
         "--mode",
@@ -60,19 +61,23 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output_flag(p_bound)
 
     p_audit = sub.add_parser("audit", help="compare every applicable analysis mode")
+    p_audit.set_defaults(run=_cmd_audit)
     p_audit.add_argument("input", help="scenario .json or counts .csv")
     add_method_flag(p_audit, "methods to audit with")
     add_output_flag(p_audit)
 
     p_estimate = sub.add_parser("estimate", help="counts CSV to scenario JSON")
+    p_estimate.set_defaults(run=_cmd_estimate)
     p_estimate.add_argument("input", help="counts .csv")
 
     p_check = sub.add_parser("oracle-check", help="randomized closed-form vs oracle sweep")
+    p_check.set_defaults(run=_cmd_oracle_check)
     # None stands for the sweep's own default, so the parser needs no import of `checks`
     p_check.add_argument("--seed", type=int)
     p_check.add_argument("--trials", type=int, help="scenarios per structure")
 
     demo_p = sub.add_parser("demo", help="run the bundled reference analyses")
+    demo_p.set_defaults(run=_cmd_demo)
     demo_p.add_argument("--json", action="store_true", help="emit the results as JSON")
     return parser
 
@@ -148,15 +153,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-_COMMANDS = {
-    "bound": _cmd_bound,
-    "audit": _cmd_audit,
-    "estimate": _cmd_estimate,
-    "oracle-check": _cmd_oracle_check,
-    "demo": _cmd_demo,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -164,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UndefinedConditionalError as exc:
         print(f"causabound: undefined: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

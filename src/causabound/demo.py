@@ -91,11 +91,10 @@ def demo_document() -> tuple[dict, bool]:
     doc_cases = []
     ok = True
     checked = 0
-    methods = (Method.CLOSED_FORM, Method.ORACLE)
     for case in REFERENCE_CASES:
         expected_by_mode = {mode: (lo, hi) for mode, lo, hi in case.expected}
         rows = []
-        for entry in run_audit(case.scenario, methods).entries:
+        for entry in run_audit(case.scenario, tuple(Method)).entries:
             row = interval_payload(entry)
             del row["notes"]
             expected = expected_by_mode.get(entry.mode)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .observables import chain_response
+from .observables import _mix, chain_response
 from .scenario import Scenario, Structure, ordered_sum
 
 MIN_MASS = 1e-3
@@ -38,7 +38,7 @@ def _inside(x: float) -> bool:
 
 def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario | None:
     """One candidate, or None once a guardrail rejects it: S where present, then M, then R."""
-    strata, weights = 1, [1.0]  # without S, one stratum of weight 1
+    strata, weights = 1, (1.0,)  # without S, one stratum of weight 1
     exposure = prior = None
     if structure.has_covariate:
         strata = rng.randint(2, max_strata)
@@ -52,10 +52,10 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
         exposure = tuple(rng.random() for _ in range(strata))
         if not all(map(_inside, exposure)):
             return None
-        p_e1 = ordered_sum(p * e for p, e in zip(prior, exposure))
+        p_e1 = _mix(prior, exposure)
         if not _inside(p_e1):
             return None
-        weights = [p * e / p_e1 for p, e in zip(prior, exposure)]
+        weights = tuple(p * e / p_e1 for p, e in zip(prior, exposure))
         if min(weights) < MIN_MASS:
             return None
 
@@ -71,9 +71,9 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
 
     response = tuple((rng.random(), rng.random()) for _ in range(strata))
     if mediator is None:
-        rows1 = [pair[1] for pair in response]
+        rows1 = tuple(pair[1] for pair in response)
     else:
-        rows1 = [chain_response(m_pair, r_pair, 1) for m_pair, r_pair in zip(mediator, response)]
-    if ordered_sum(w * r1 for w, r1 in zip(weights, rows1)) < MIN_MASS:
+        rows1 = tuple(chain_response(m_pair, r_pair, 1) for m_pair, r_pair in zip(mediator, response))
+    if _mix(weights, rows1) < MIN_MASS:
         return None
     return Scenario(structure, response, mediator, exposure, prior)

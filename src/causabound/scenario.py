@@ -76,6 +76,9 @@ class Structure(str, enum.Enum):
         self.tables = (
             (("mediator", "M", "E"), ("response", "R", "M")) if self.has_mediator else (("response", "R", "E"),)
         )
+        # the top-level names a scenario document of this structure may have
+        prior = ("covariate_prior",) if self.has_covariate else ()
+        self.fields = frozenset(("structure", "exposure", *prior, *(name for name, _, _ in self.tables)))
 
     def strata(self, k: int) -> tuple[tuple[tuple[str, int], ...], ...]:
         """Each stratum's condition: S=s for s < k where S is observed, else the one empty condition."""
@@ -369,10 +372,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
             f"structure: expected one of {[s.value for s in Structure]}, found {doc.get('structure')!r}"
         ) from None
 
-    allowed = {"structure", "exposure", *(name for name, _, _ in structure.tables)}
-    if structure.has_covariate:
-        allowed.add("covariate_prior")
-    extra = set(doc) - allowed
+    extra = doc.keys() - structure.fields
     if extra:
         raise ScenarioFormatError(f"unknown fields for {structure.value}: {sorted(extra)}")
 
@@ -440,12 +440,12 @@ def _unique_names(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def load_scenario(path: str) -> Scenario:
     """Read a scenario JSON file.
 
-    Bytes that are not UTF-8, integers past Python's digit limit, a name
-    repeated within one object and nesting past the recursion limit are
-    format errors like any other malformed JSON (all but the last are
-    ValueErrors).
+    A leading UTF-8 byte-order mark is skipped.  Bytes that are not UTF-8,
+    integers past Python's digit limit, a name repeated within one object
+    and nesting past the recursion limit are format errors like any other
+    malformed JSON (all but the last are ValueErrors).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_unique_names)
         except (ValueError, RecursionError) as exc:

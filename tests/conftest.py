@@ -86,11 +86,6 @@ def fraction_image(scenario: Scenario) -> Scenario:
 
 
 @pytest.fixture
-def data_dir() -> Path:
-    return DATA
-
-
-@pytest.fixture
 def trial_counts():
     return read_counts_csv(DATA / "basic_trial.csv")
 

@@ -31,6 +31,7 @@ from causabound import (
 from causabound import audit as audit_module
 from causabound import checks, equivalence_sweep
 from causabound import demo as demo_module
+from causabound import observables as observables_module
 from causabound.checks import TOLERANCE
 from causabound.cli import (
     EXIT_CHECK_FAILED,
@@ -223,15 +224,16 @@ class TestBound:
         assert entry["upper"] == 1.0
         assert doc["input"]["scenario"]["structure"] == "basic"
 
-    def test_counts_file_with_byte_order_mark(self, capsys, tmp_path):
-        # a spreadsheet's "CSV UTF-8" export starts with the UTF-8 byte-order mark
-        raw = b"\xef\xbb\xbf" + (DATA / "basic_trial.csv").read_bytes()
-        path = tmp_path / "bom.csv"
+    @pytest.mark.parametrize("name", ["basic_trial.csv", "mediated_confounding.json"])
+    def test_file_with_byte_order_mark(self, capsys, tmp_path, name):
+        # a spreadsheet's "CSV UTF-8" export, or a Windows editor's UTF-8 JSON, starts with the byte-order mark
+        raw = b"\xef\xbb\xbf" + (DATA / name).read_bytes()
+        path = tmp_path / name
         path.write_bytes(raw)
         code, out, err = run(capsys, "bound", str(path))
         assert code == EXIT_OK, err
         doc = json.loads(out)
-        _, plain, _ = run(capsys, "bound", TRIAL_CSV)
+        _, plain, _ = run(capsys, "bound", str(DATA / name))
         assert doc["input"]["scenario"] == json.loads(plain)["input"]["scenario"]
         assert doc["intervals"] == json.loads(plain)["intervals"]
         # the digest still names the bytes as given, mark included
@@ -422,6 +424,27 @@ class TestBound:
         assert out == ""
         assert "Traceback" not in err
         assert "P(E=1) = 5e-324 is subnormal" in err
+
+    def test_collapse_rounded_outside_the_unit_interval_is_undefined(self, capsys, monkeypatch):
+        # no known input rounds a collapsed entry this far, so the collapse is made to
+        collapse, pairs = observables_module._collapse_covariate, []
+
+        def overshooting(scenario):
+            reduced = collapse(scenario)
+            pairs.append((1.0 + 1e-6, reduced.response[0][1]))
+            return reduced._replace(response=(pairs[-1],))
+
+        monkeypatch.setattr(observables_module, "_collapse_covariate", overshooting)
+        code, out, err = run(capsys, "bound", CROSSOVER_JSON, "--mode", "ignore-covariate")
+        message = f"rounding swamps the Bayes weights of the ignore-covariate collapse: {pairs[0]!r}"
+        assert (code, out, err) == (EXIT_UNDEFINED, "", f"causabound: undefined: {message}\n")
+        code, out, err = run(capsys, "audit", CROSSOVER_JSON, "--method", "both")
+        assert code == EXIT_OK, err
+        cells = [e for e in json.loads(out)["audit"]["entries"] if e["mode"] == "ignore-covariate"]
+        assert [(e["method"], e["lower"], e["upper"], e["error"]) for e in cells] == [
+            ("closed", None, None, message),
+            ("oracle", None, None, message),
+        ]
 
     def test_inapplicable_mode_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "bound", TRIAL_CSV, "--mode", "ignore-mediator")

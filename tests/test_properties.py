@@ -420,3 +420,20 @@ def test_seeded_generator_stream_is_pinned():
             for structure in Structure:
                 digest.update(repr(random_scenario(rng, structure, max_strata)).encode())
     assert digest.hexdigest() == GENERATOR_STREAM_SHA256
+
+
+class _ZeroRng:
+    """An rng whose every draw is 0.0, and whose randint gives its lowest level."""
+
+    def random(self):
+        return 0.0
+
+    def randint(self, a, b):
+        return a
+
+
+@pytest.mark.parametrize("structure", list(Structure))
+def test_generator_gives_up_when_every_draw_is_rejected(structure):
+    # with S, all-zero stratum draws hit the zero-total guard; without S, P(R=1|E=1) = 0 is below MIN_MASS
+    with pytest.raises(RuntimeError, match=f"no acceptable {structure.value} scenario in 10000 draws"):
+        random_scenario(_ZeroRng(), structure)

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from causabound import (
     Scenario,
     ScenarioFormatError,
     Structure,
+    random_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
@@ -533,15 +535,18 @@ class TestFormatErrors:
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict({"structure": "fancy", "response": {"E=0": 0.1, "E=1": 0.2}})
 
-    def test_unknown_top_level_field(self):
-        with pytest.raises(ScenarioFormatError):
-            scenario_from_dict(
-                {
-                    "structure": "basic",
-                    "response": {"E=0": 0.12, "E=1": 0.3},
-                    "extra": 1,
-                }
-            )
+    @pytest.mark.parametrize("structure", list(Structure))
+    def test_unknown_top_level_field(self, structure):
+        # the echo writes exactly the structure's fields, and every other name is refused
+        scenario = random_scenario(random.Random(0), structure)
+        if not structure.has_covariate:
+            scenario = scenario._replace(exposure=(0.5,))  # the optional bare exposure, written when given
+        doc = scenario_to_dict(scenario)
+        assert doc.keys() == structure.fields
+        for name in sorted({"extra", *Structure.MEDIATOR_COVARIATE.fields} - structure.fields):
+            with pytest.raises(ScenarioFormatError) as info:
+                scenario_from_dict({**doc, name: 1})
+            assert str(info.value) == f"unknown fields for {structure.value}: [{name!r}]"
 
     def test_missing_condition(self):
         with pytest.raises(ScenarioFormatError):
