@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .observables import _mix, chain_response
+from .observables import _mix, response_rows
 from .scenario import Scenario, Structure, ordered_sum
 
 MIN_MASS = 1e-3
@@ -70,10 +70,7 @@ def _draw(rng: random.Random, structure: Structure, max_strata: int) -> Scenario
         mediator = tuple(pairs)
 
     response = tuple((rng.random(), rng.random()) for _ in range(strata))
-    if mediator is None:
-        rows1 = tuple(pair[1] for pair in response)
-    else:
-        rows1 = tuple(chain_response(m_pair, r_pair, 1) for m_pair, r_pair in zip(mediator, response))
-    if _mix(weights, rows1) < MIN_MASS:
+    scenario = Scenario(structure, response, mediator, exposure, prior)
+    if _mix(weights, response_rows(scenario, 1)) < MIN_MASS:
         return None
-    return Scenario(structure, response, mediator, exposure, prior)
+    return scenario

@@ -156,8 +156,10 @@ def _is_probability_like(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_float(value: int | float) -> float:
-    """A JSON number as a float; an int past the float range is +-inf, as `json` reads 1e400."""
+def _as_float(value: Any, fault: str) -> float:
+    """A JSON number as a float (an int past the float range as +-inf, as `json` reads 1e400); else raises `fault`."""
+    if not _is_probability_like(value):
+        raise ScenarioFormatError(fault)
     try:
         return float(value)
     except OverflowError:
@@ -175,6 +177,11 @@ def _entry_fault(value: Any) -> str | None:
     if not 0.0 <= value <= 1.0:
         return f"value {value!r} outside [0, 1]"
     return None
+
+
+def _structure_fault(found: Any) -> str:
+    """The message for a structure that is none of `Structure`'s values."""
+    return f"structure: expected one of {[s.value for s in Structure]}, found {found!r}"
 
 
 def condition_key(pairs: Iterable[tuple[str, int]]) -> str:
@@ -210,8 +217,11 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
     """
     v: list[str] = []
     if not isinstance(scenario.structure, Structure):
-        return (f"structure: expected one of {[s.value for s in Structure]}, found {scenario.structure!r}",)
+        return (_structure_fault(scenario.structure),)
     st = scenario.structure
+    for name in Scenario._fields:
+        if name not in st.fields and getattr(scenario, name) is not None:
+            v.append(f"{name}: not defined for structure {st.value}")
 
     # how many strata every table must hold; None when the prior cannot say
     strata: int | None = 1
@@ -229,8 +239,6 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
                 total = ordered_sum(prior)
                 if abs(total - 1.0) > PROBABILITY_TOLERANCE:
                     v.append(f"covariate_prior: entries sum to {total!r}, not 1")
-    elif scenario.covariate_prior is not None:
-        v.append(f"covariate_prior: not defined for structure {st.value}")
 
     def per_stratum(table: Any) -> bool:
         return isinstance(table, tuple) and (strata is None or len(table) == strata)
@@ -250,8 +258,6 @@ def validate_scenario(scenario: Scenario) -> tuple[str, ...]:
         for stratum, pair in zip(st.strata(len(table)), table):
             _check_pair(v, name, var, pair, stratum)
 
-    if not st.has_mediator and scenario.mediator is not None:
-        v.append(f"mediator: not defined for structure {st.value}")
     for name, _, cond_var in st.tables:
         table = getattr(scenario, name)
         if table is None and name == "mediator":
@@ -347,9 +353,7 @@ def _table_from_json(obj: Any, label: str, var_levels: tuple[tuple[str, int], ..
         if assignment in table:
             raise ScenarioFormatError(f"{label}: duplicate condition {key!r}")
         if type(value) is not float:  # a float, as `json` reads most entries, is stored as it is
-            if not _is_probability_like(value):
-                raise ScenarioFormatError(f"{label}: value for {key!r} is not a number")
-            value = _as_float(value)
+            value = _as_float(value, f"{label}: value for {key!r} is not a number")
         table[assignment] = value
     if len(table) != expected:
         raise ScenarioFormatError(f"{label}: expected {expected} entries, found {len(table)}")
@@ -368,9 +372,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     try:
         structure = Structure(doc.get("structure"))
     except ValueError:
-        raise ScenarioFormatError(
-            f"structure: expected one of {[s.value for s in Structure]}, found {doc.get('structure')!r}"
-        ) from None
+        raise ScenarioFormatError(_structure_fault(doc.get("structure"))) from None
 
     extra = doc.keys() - structure.fields
     if extra:
@@ -382,9 +384,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         raw_prior = doc.get("covariate_prior")
         if not isinstance(raw_prior, list) or len(raw_prior) < 2:
             raise ScenarioFormatError("covariate_prior: expected an array of at least 2 weights")
-        if not all(_is_probability_like(w) for w in raw_prior):
-            raise ScenarioFormatError("covariate_prior: entries must be numbers")
-        prior = tuple(map(_as_float, raw_prior))
+        prior = tuple(_as_float(w, "covariate_prior: entries must be numbers") for w in raw_prior)
         strata = len(prior)
     # S's part of a table's shape; S is not a key without a covariate
     s_levels = (("S", strata),) if structure.has_covariate else ()
@@ -400,10 +400,8 @@ def scenario_from_dict(doc: Any) -> Scenario:
         exposure = _table_from_json(raw, "exposure", s_levels)
     elif raw is None:
         exposure = None
-    elif _is_probability_like(raw):
-        exposure = (_as_float(raw),)
     else:
-        raise ScenarioFormatError("exposure: expected a bare number for this structure")
+        exposure = (_as_float(raw, "exposure: expected a bare number for this structure"),)
 
     return Scenario(structure=structure, exposure=exposure, covariate_prior=prior, **tables)
 

@@ -26,6 +26,8 @@ from pathlib import Path
 from causabound.cli import main
 from causabound.scenario import ordered_sum
 
+# exact ends, signed zero, subnormals, and overshoot inside the 1e-9 tolerance;
+# conftest.py and test_fuzz.py import them from here
 EDGE = (0.0, 1.0, -0.0, 1e-300, 5e-324, -5e-10, 1.0 + 5e-10, 1e-9, 1.0 - 1e-9)
 STRUCTURES = ("basic", "mediator", "covariate", "mediator_covariate")
 

@@ -10,7 +10,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -752,6 +754,19 @@ class TestEstimate:
         assert out == ""
         assert "Traceback" not in err
         assert "E=1,S=1" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need POSIX")
+    def test_named_pipe_is_read(self, capsys, tmp_path):
+        # estimate reads its input once, so it takes the pipe that bound and audit refuse
+        path = tmp_path / "counts.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(Path(TRIAL_CSV).read_bytes(),), daemon=True)
+        writer.start()
+        code, out, err = run(capsys, "estimate", str(path))
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (DATA / "golden" / "estimate-basic_trial.csv.json").read_text()
 
 
 class TestCountsLevelPastAnySize:

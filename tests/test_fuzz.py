@@ -43,13 +43,12 @@ from pathlib import Path
 from causabound import AnalysisMode, ContingencyTable, ScenarioFormatError, read_counts_csv, scenario_from_dict
 from causabound import validate_scenario
 from causabound.cli import main
+from audit_hash import EDGE
 
 DATA = Path(__file__).parent / "data"
 INPUTS = sorted(DATA.glob("*.json")) + sorted(DATA.glob("*.csv"))
 CASES = 2000
 
-# the edge values of conftest.py and audit_hash.py: exact ends, signed zero, subnormals, overshoot inside 1e-9
-EDGE = (0.0, 1.0, -0.0, 1e-300, 5e-324, -5e-10, 1.0 + 5e-10, 1e-9, 1.0 - 1e-9)
 # overshoot past 1e-9, past the float range, past 32 bits, the wrong type, and numbers spelled as text
 HOSTILE = (
     -1e-10, 1 + 1e-10, 10**400, int("9" * 30), 2147483648, math.inf, math.nan, 2, -1, True, None,

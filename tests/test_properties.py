@@ -37,6 +37,7 @@ from causabound import (
 )
 from causabound.bounds import finish_interval
 from causabound.observables import observe
+from causabound.randomgen import _draw
 from causabound.scenario import ordered_sum
 from conftest import COLLAPSE_ROUNDING, FULL_MODE_UNDERFLOW, edge_scenario_docs, fraction_image
 
@@ -437,3 +438,25 @@ def test_generator_gives_up_when_every_draw_is_rejected(structure):
     # with S, all-zero stratum draws hit the zero-total guard; without S, P(R=1|E=1) = 0 is below MIN_MASS
     with pytest.raises(RuntimeError, match=f"no acceptable {structure.value} scenario in 10000 draws"):
         random_scenario(_ZeroRng(), structure)
+
+
+class _ListRng:
+    """An rng whose `random` gives the listed draws and no more, and whose randint gives its lowest level."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+    def randint(self, a, b):
+        return a
+
+
+@pytest.mark.parametrize("structure", [Structure.COVARIATE, Structure.MEDIATOR_COVARIATE])
+def test_generator_rejects_p_e1_outside_the_band_before_drawing_m_or_r(structure):
+    # both P(E=1|S=s) = 0.999 = 1 - MIN_MASS are inside the band, but their prior-weighted mix
+    # rounds to 0.9990000000000001, which is not
+    rng = _ListRng(0.5692038748222122, 0.8022650611681835, 0.999, 0.999)
+    assert _draw(rng, structure, 3) is None
+    assert rng.draws == []

@@ -305,6 +305,23 @@ class TestValidation:
         # the JSON and CSV loaders refuse these shapes before a Scenario exists
         assert validate_scenario(scenario) == (message,)
 
+    @pytest.mark.parametrize(
+        "structure, outside",
+        [
+            (Structure.BASIC, ("mediator", "covariate_prior")),
+            (Structure.MEDIATOR, ("covariate_prior",)),
+            (Structure.COVARIATE, ("mediator",)),
+            (Structure.MEDIATOR_COVARIATE, ()),
+        ],
+    )
+    def test_each_field_the_structure_lacks_is_one_violation_in_field_order(self, structure, outside):
+        assert outside == tuple(name for name in Scenario._fields if name not in structure.fields)
+        valid = random_scenario(random.Random(0), structure, max_strata=2)
+        extras = {"mediator": ((0.2, 0.8),) * valid.n_strata, "covariate_prior": (0.5, 0.5)}
+        scenario = valid._replace(**{name: extras[name] for name in outside})
+        expected = tuple(f"{name}: not defined for structure {structure.value}" for name in outside)
+        assert validate_scenario(scenario) == expected
+
     def test_values_are_never_renormalized(self):
         sc = Scenario(
             Structure.COVARIATE,
